@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -272,7 +273,9 @@ class Event:
     """A cluster of frames presented as one temporally ordered unit.
 
     ``event_id`` is the 1-based rank of the event by time centroid;
-    ``cluster_index`` points back into the originating ClusterResult.
+    ``cluster_index`` points back into the originating ClusterResult.  The
+    stacked member arrays are built on first use, kept, and read-only, so an
+    event reused across questions stacks its frames once.
     """
 
     event_id: int
@@ -288,30 +291,55 @@ class Event:
     def num_frames(self) -> int:
         return len(self.frames)
 
+    @cached_property
+    def timestamps(self) -> np.ndarray:
+        """Member timestamps, shape (F,)."""
+        return _read_only(np.asarray([f.timestamp for f in self.frames], dtype=np.float64))
+
+    @cached_property
+    def patches(self) -> np.ndarray:
+        """Member patch matrices, shape (F, P, D)."""
+        return _read_only(np.stack([f.patches for f in self.frames]))
+
+    @cached_property
+    def pooled(self) -> np.ndarray:
+        """One mean-pooled token per member frame, shape (F, D)."""
+        return _read_only(np.stack([f.patches.mean(axis=0) for f in self.frames]))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
 
 def events_from(result: ClusterResult, frames: Sequence[FrameFeature]) -> list[Event]:
     """One Event per cluster, members and events both ordered by time.
 
-    A cluster with no assigned frames (possible only in degenerate runs) is
-    skipped with a warning rather than emitted as an empty event.
+    Members sort by (timestamp, frame index) and events by (time centroid,
+    cluster index).  A cluster with no assigned frames (possible only in
+    degenerate runs) is skipped with a warning rather than emitted as an
+    empty event.
     """
     if len(frames) != result.assignments.shape[0]:
         raise DimensionMismatchError(
             f"result covers {result.assignments.shape[0]} frames, got {len(frames)}"
         )
+    stamps = np.asarray([f.timestamp for f in frames], dtype=np.float64)
+    # lexsort is stable: by cluster, then timestamp, then frame index
+    by_cluster = np.lexsort((stamps, result.assignments))
+    counts = np.bincount(result.assignments, minlength=result.k)
+    groups = np.split(by_cluster, np.cumsum(counts)[:-1])
     order: list[tuple[float, int, list[int]]] = []
-    for j in range(result.k):
-        members = [i for i in range(len(frames)) if result.assignments[i] == j]
-        if not members:
+    for j, members in enumerate(groups):
+        if not members.size:
             logger.warning("cluster %d has no members; skipping empty event", j)
             continue
-        members.sort(key=lambda i: (frames[i].timestamp, i))
-        order.append((float(result.time_centroids[j]), j, members))
+        order.append((float(result.time_centroids[j]), j, members.tolist()))
     order.sort(key=lambda item: (item[0], item[1]))
 
     events = []
     for rank, (tau, j, members) in enumerate(order, start=1):
-        stamps = [frames[i].timestamp for i in members]
+        member_stamps = [frames[i].timestamp for i in members]
         events.append(
             Event(
                 event_id=rank,
@@ -320,8 +348,8 @@ def events_from(result: ClusterResult, frames: Sequence[FrameFeature]) -> list[E
                 frames=tuple(frames[i] for i in members),
                 feature_centroid=result.feature_centroids[j],
                 time_centroid=tau,
-                start_s=min(stamps),
-                end_s=max(stamps),
+                start_s=min(member_stamps),
+                end_s=max(member_stamps),
             )
         )
     return events

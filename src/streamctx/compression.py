@@ -59,7 +59,8 @@ class VisualUnit:
     Preserved units keep ``data`` with shape (frames, patches, dim); pooled
     units carry one token per frame, shape (frames, dim).  ``patch_count``
     remembers the original patch rows so token accounting can reconstruct
-    the uncompressed size either way.
+    the uncompressed size either way.  ``timestamps`` and ``data`` are the
+    event's own read-only arrays, shared by every unit made from it.
     """
 
     kind: str
@@ -95,7 +96,7 @@ def embed_event(
     Provider failures propagate unless ``fallback_on_error`` is set, in which
     case the fallback result is used and the failure logged.
     """
-    stacked = np.concatenate([f.patches for f in event.frames], axis=0)
+    stacked = event.patches.reshape(-1, event.patches.shape[-1])
     if summarizer is not None:
         try:
             states = summarizer.hidden_states(stacked.astype(np.float64), SUMMARY_PROMPT)
@@ -165,19 +166,13 @@ def compress_stream(
                 "zero-norm embedding for event %d; scoring -1 (always pooled)", event.event_id
             )
             score = -1.0
-        stamps = np.asarray([f.timestamp for f in event.frames], dtype=np.float64)
-        if score >= config.theta:
-            data = np.stack([f.patches for f in event.frames])
-            kind = PRESERVED
-        else:
-            data = np.stack([f.patches.mean(axis=0) for f in event.frames])
-            kind = POOLED
+        preserved = score >= config.theta
         units.append(
             VisualUnit(
-                kind=kind,
+                kind=PRESERVED if preserved else POOLED,
                 event_id=event.event_id,
-                timestamps=stamps,
-                data=data,
+                timestamps=event.timestamps,
+                data=event.patches if preserved else event.pooled,
                 patch_count=event.frames[0].num_patches,
                 relevance=score,
                 start_s=event.start_s,

@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ProviderError, RetrievalParseError
 from .providers import Retriever
-from .text import tf_cosine, tokenize
+from .text import counts_cosine, term_frequencies, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -45,6 +47,11 @@ class HistoryItem:
     question: str
     answer: str
     ask_time: float
+
+    @cached_property
+    def terms(self) -> Counter[str]:
+        """Term counts of ``question + " " + answer``, counted once per item."""
+        return term_frequencies(f"{self.question} {self.answer}")
 
 
 @dataclass(frozen=True)
@@ -148,9 +155,8 @@ def lexical_fallback(
     DELTA_OVERLAP *and* the question contains one of the fixed recall cues —
     near-verbatim repetition alone is not treated as dialogue recall.
     """
-    overlaps = {
-        item.qa_id: tf_cosine(question, f"{item.question} {item.answer}") for item in history
-    }
+    asked = term_frequencies(question)
+    overlaps = {item.qa_id: counts_cosine(asked, item.terms) for item in history}
     selected = frozenset(qa_id for qa_id, ov in overlaps.items() if ov >= threshold)
     normalized = " ".join(tokenize(question))
     delta = int(

@@ -7,6 +7,13 @@ turns, assembles the context package, and generates an answer.  Frame access
 runs through a guard that counts any read from a segment still in the future;
 a correct run reports zero violations.
 
+The visual pipeline (clustering, events, event embeddings) depends only on
+the visible prefix, the number of finished segments, so it runs once per
+prefix and every later question on that prefix reuses it.  The clustering
+seed is keyed on the prefix too: two questions asked over the same frames
+see the same events.  A question that fails leaves nothing behind for the
+next one to reuse.
+
 Reports are JSON lines: one ``record`` object per question followed by one
 ``summary`` object.  Per-record wall-clock timings are diagnostics and are
 excluded from the canonical byte form used for determinism comparisons.
@@ -26,9 +33,10 @@ import numpy as np
 
 from .assembly import answer as generate_answer
 from .assembly import assemble
-from .clustering import ClusterConfig, choose_k, cluster, events_from
+from .clustering import ClusterConfig, ClusterResult, Event, choose_k, cluster, events_from
 from .compression import (
     CompressionConfig,
+    EventEmbedding,
     compress_stream,
     compression_ratio,
     embed_event,
@@ -36,7 +44,7 @@ from .compression import (
 )
 from .errors import InvalidConfigError, StreamContextError
 from .paths import DEFAULT_ALPHA_LEN, DEFAULT_NUM_PATHS
-from .providers import Generator, Retriever, Summarizer, TextEmbedder
+from .providers import Generator, HashingQuestionEmbedder, Retriever, Summarizer, TextEmbedder
 from .retrieval import (
     DialogueHistory,
     HistoryItem,
@@ -119,24 +127,28 @@ class _FrameGuard:
         ]
         self.violations = 0
 
-    def frames_until(self, ask_time: float) -> list[FrameFeature]:
-        """Frames of every segment already finished at ask_time.
+    def frames_until(self, ask_time: float) -> tuple[int, list[FrameFeature]]:
+        """How many segments finished by ask_time, and all of their frames.
 
         Segments still open stay out entirely, even for their elapsed part;
-        any returned frame stamped after ask_time counts as a violation.
+        any returned frame stamped after ask_time counts as a violation.  The
+        finished set only grows with ask_time, so its size names it.
         """
+        finished = 0
         out: list[FrameFeature] = []
         for _segment_id, end_s, seg_frames in self._windows:
             if end_s <= ask_time:
+                finished += 1
                 out.extend(seg_frames)
         for f in out:
             if f.timestamp > ask_time:
                 self.violations += 1
-        return out
+        return finished, out
 
 
-def _question_seed(base_seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([base_seed, index]).generate_state(1)[0])
+def _question_seed(base_seed: int, prefix: int) -> int:
+    """Clustering seed for the visible prefix of ``prefix`` finished segments."""
+    return int(np.random.SeedSequence([base_seed, prefix]).generate_state(1)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +192,9 @@ def simulate(
     embedding files resolved against ``base_dir``.  An error inside one
     question's pipeline aborts that question (recorded with its error kind)
     and the stream moves on; the dialogue history then carries the dataset's
-    gold answer so later questions still see the turn.
+    gold answer so later questions still see the turn.  The clustering,
+    events and event embeddings of the latest visible prefix are kept for the
+    next question, and only a question that completes stores them.
     """
     if not 0 <= stream_index < len(manifest.dialogue_streams):
         raise InvalidConfigError(
@@ -197,10 +211,15 @@ def simulate(
     qa_by_id = {qa.qa_id: qa for qa in manifest.qa_pool}
     history = DialogueHistory()
     path = manifest.dialogue_streams[stream_index]
+    question_embedder = prov.embedder
+    # Ask times never decrease along a path (DialoguePath checks it), so once
+    # a later prefix is visible no question returns to an earlier one: the
+    # last completed prefix is the only one worth keeping.
+    last: tuple[int, ClusterResult, list[Event], list[EventEmbedding]] | None = None
 
     records: list[dict] = []
     confusions = []
-    for index, entry in enumerate(path.entries):
+    for entry in path.entries:
         qa = qa_by_id[entry.qa_id]
         started = time.perf_counter()
         record: dict = {
@@ -212,25 +231,30 @@ def simulate(
         }
         generated_answer: str | None = None
         try:
-            visible = guard.frames_until(entry.ask_time)
+            finished, visible = guard.frames_until(entry.ask_time)
             if not visible:
                 raise StreamContextError(
                     f"no finished segment before ask_time {entry.ask_time}"
                 )
             k = choose_k(len(visible), config.cluster_ratio)
-            result = cluster(
-                visible,
-                ClusterConfig(
-                    k=k,
-                    alpha_time=config.alpha_time,
-                    max_iters=config.max_iters,
-                    epsilon=config.epsilon,
-                    seed=_question_seed(config.seed, index),
-                ),
-            )
-            events = events_from(result, visible)
-            embeddings = [embed_event(ev, prov.summarizer) for ev in events]
-            qvec = embed_question(qa.question, prov.embedder, dim=visible[0].dim)
+            if last is not None and last[0] == finished:
+                _, result, events, embeddings = last
+            else:
+                result = cluster(
+                    visible,
+                    ClusterConfig(
+                        k=k,
+                        alpha_time=config.alpha_time,
+                        max_iters=config.max_iters,
+                        epsilon=config.epsilon,
+                        seed=_question_seed(config.seed, finished),
+                    ),
+                )
+                events = events_from(result, visible)
+                embeddings = [embed_event(ev, prov.summarizer) for ev in events]
+            if question_embedder is None:
+                question_embedder = HashingQuestionEmbedder(visible[0].dim)
+            qvec = embed_question(qa.question, question_embedder)
             units = compress_stream(events, embeddings, qvec, CompressionConfig(config.theta))
 
             if config.retrieval_mode == "oracle":
@@ -272,6 +296,7 @@ def simulate(
                     "answer_provider": answer_record.provider_id,
                 }
             )
+            last = (finished, result, events, embeddings)
         except Exception as exc:
             logger.exception("question %d failed; continuing the stream", qa.qa_id)
             record["error"] = {"type": type(exc).__name__, "message": str(exc)}

@@ -19,6 +19,7 @@ from streamctx.retrieval import (
     retrieve,
     score_retrieval,
 )
+from streamctx.text import term_frequencies, tf_cosine
 
 
 def make_history(*triples):
@@ -153,6 +154,22 @@ class TestLexicalFallback:
     def test_empty_history(self):
         out = lexical_fallback(DialogueHistory(), "anything at all")
         assert out == RetrievalOutput(frozenset(), 0)
+
+    def test_item_terms_are_counted_once(self):
+        item = OVERLAP_HISTORY.items[2]
+        assert item.terms is item.terms
+        assert item.terms == term_frequencies(f"{item.question} {item.answer}")
+
+    def test_overlaps_equal_text_cosine_bitwise(self):
+        # selection at a threshold equal to each item's own overlap keeps it
+        for item in OVERLAP_HISTORY:
+            overlap = tf_cosine(OVERLAP_QUESTION, f"{item.question} {item.answer}")
+            picked = lexical_fallback(OVERLAP_HISTORY, OVERLAP_QUESTION, threshold=overlap)
+            assert item.qa_id in picked.selected_ids
+            above = lexical_fallback(
+                OVERLAP_HISTORY, OVERLAP_QUESTION, threshold=math.nextafter(overlap, 2.0)
+            )
+            assert item.qa_id not in above.selected_ids
 
     def test_constants(self):
         assert DEFAULT_OVERLAP_THRESHOLD == 0.3

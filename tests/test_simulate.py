@@ -1,11 +1,14 @@
+import importlib
 import json
+from collections import defaultdict
 from dataclasses import replace
 
 import jsonschema
 import numpy as np
 import pytest
 
-from streamctx.errors import InvalidConfigError
+from streamctx.errors import InvalidConfigError, ProviderError
+from streamctx.providers import EchoGenerator, HashingQuestionEmbedder
 from streamctx.retrieval import RetrievalMetrics, micro_metrics
 from streamctx.simulate import (
     RETRIEVAL_MODES,
@@ -286,3 +289,134 @@ class TestReportSchema:
         parsed = [json.loads(line) for line in report.lines()]
         assert parsed[-1]["kind"] == "summary"
         assert all(obj["kind"] == "record" for obj in parsed[:-1])
+
+
+class TestPrefixReuse:
+    """The visual pipeline runs once per visible prefix (finished-segment count)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counting wrappers around the names ``simulate`` calls."""
+        module = importlib.import_module("streamctx.simulate")
+        seen = defaultdict(list)
+
+        def counting(name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                result = original(*args, **kwargs)
+                seen[name].append((args, kwargs, result))
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("cluster", "events_from", "embed_event", "embed_question"):
+            counting(name)
+        return seen
+
+    @staticmethod
+    def _by_prefix(report):
+        groups = defaultdict(list)
+        for rec in report.records:
+            groups[rec["num_frames"]].append(rec)
+        return groups
+
+    def test_cluster_once_per_prefix_and_embed_once_per_event(self, default_session, calls):
+        report = simulate(
+            default_session.manifest, 0, EngineConfig(), frames=default_session.frames
+        )
+        groups = self._by_prefix(report)
+        assert len(groups) == 5 and all(len(g) == 4 for g in groups.values())
+        assert sorted(len(args[0]) for args, _, _ in calls["cluster"]) == sorted(groups)
+        assert len(calls["events_from"]) == len(groups)
+        assert len(calls["embed_event"]) == sum(g[0]["num_events"] for g in groups.values())
+        assert len(calls["embed_question"]) == len(report.records)
+
+    def test_questions_on_one_prefix_see_the_same_events(self, default_session):
+        class SameVector:
+            """Every question embeds alike, so every question splits alike."""
+
+            provider_id = "same-vector"
+
+            def embed(self, text):
+                return np.linspace(-1.0, 1.0, 8)
+
+        report = simulate(
+            default_session.manifest,
+            0,
+            EngineConfig(theta=0.0),
+            frames=default_session.frames,
+            providers=ProviderSet(embedder=SameVector()),
+        )
+        assert report.summary["failed_questions"] == 0
+        keys = ("num_events", "cluster_iterations", "cluster_delta", "compression_ratio",
+                "preserved_events", "visual_tokens")
+        ratios = set()
+        for group in self._by_prefix(report).values():
+            assert len({tuple(rec[key] for key in keys) for rec in group}) == 1
+            ratios.add(group[0]["compression_ratio"])
+        assert len(ratios) > 1  # the split is not trivially all-preserved or all-pooled
+
+    @pytest.mark.parametrize("role", ["summarizer", "generator"])
+    def test_failed_question_caches_nothing(self, default_session, calls, role):
+        class FailsOnce:
+            """Raises on its first call, then works like the offline fallback."""
+
+            provider_id = "fails-once"
+
+            def __init__(self):
+                self.calls = 0
+
+            def _first_call_fails(self):
+                self.calls += 1
+                if self.calls == 1:
+                    raise ProviderError(f"{role} down")
+
+            def hidden_states(self, features, prompt):
+                self._first_call_fails()
+                return features
+
+            def generate(self, payload):
+                self._first_call_fails()
+                return EchoGenerator().generate(payload)
+
+        report = simulate(
+            default_session.manifest,
+            0,
+            EngineConfig(),
+            frames=default_session.frames,
+            providers=ProviderSet(**{role: FailsOnce()}),
+        )
+        first, second = report.records[:2]
+        assert first["error"]["type"] == "ProviderError"
+        assert "error" not in second
+        assert report.summary["failed_questions"] == 1
+        # both questions share a prefix, which clustered again for the second
+        frame_counts = [len(args[0]) for args, _, _ in calls["cluster"]]
+        assert frame_counts[:2] == [second["num_frames"]] * 2
+        assert len(frame_counts) == len(set(frame_counts)) + 1 == 6
+
+    def test_cached_event_arrays_are_read_only(self, default_session, calls):
+        simulate(default_session.manifest, 0, EngineConfig(), frames=default_session.frames)
+        for _, _, events in calls["events_from"]:
+            for event in events:
+                for arr in (event.timestamps, event.patches, event.pooled):
+                    assert arr.flags.writeable is False
+                    with pytest.raises(ValueError):
+                        arr[0] = 0
+                assert event.patches is event.patches  # built once, then kept
+                assert event.patches.shape == (event.num_frames, 2, 8)
+                assert event.pooled.shape == (event.num_frames, 8)
+
+    def test_one_question_embedder_per_run(self, default_session, calls):
+        report = simulate(
+            default_session.manifest, 0, EngineConfig(), frames=default_session.frames
+        )
+        embedders = {id(args[1]) for args, _, _ in calls["embed_question"]}
+        assert len(embedders) == 1
+        assert isinstance(calls["embed_question"][0][0][1], HashingQuestionEmbedder)
+        # the same vectors as a fresh embedder per question
+        for args, _, vec in calls["embed_question"]:
+            fresh = HashingQuestionEmbedder(8).embed(args[0])
+            assert np.array_equal(vec, fresh)
+        assert report.summary["failed_questions"] == 0
