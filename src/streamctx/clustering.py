@@ -108,15 +108,102 @@ def _rowwise_minmax(mat: np.ndarray) -> np.ndarray:
     return out
 
 
+#: Elements in one row chunk of the exact kernel's (rows, k, P·D) temporary (1 MB).
+_CHUNK_ELEMENTS = 1 << 17
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _feature_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Exact Euclidean distances from every frame to every centroid; shape (N, k).
+
+    Rows go through in chunks so the difference temporary stays near
+    ``_CHUNK_ELEMENTS``.  Each entry is still reduced by ``np.linalg.norm``
+    over the same contiguous P·D axis, so the result is bitwise equal to the
+    unchunked expression.
+    """
+    n, k = x.shape[0], centroids.shape[0]
+    step = max(1, _CHUNK_ELEMENTS // max(1, k * x.shape[1]))
+    out = np.empty((n, k))
+    for lo in range(0, n, step):
+        out[lo : lo + step] = np.linalg.norm(x[lo : lo + step, None, :] - centroids[None], axis=2)
+    return out
+
+
+def _composite(d_feat: np.ndarray, d_time: np.ndarray, alpha_time: float) -> np.ndarray:
+    nf = _rowwise_minmax(d_feat)
+    nt = _rowwise_minmax(d_time)
+    return np.sqrt(nf**2 + alpha_time * nt**2)
+
+
 def _composite_matrix(
     x: np.ndarray, t: np.ndarray, centroids: np.ndarray, taus: np.ndarray, alpha_time: float
 ) -> np.ndarray:
     """Composite distances for every (frame, cluster) pair; shape (N, k)."""
-    d_feat = np.linalg.norm(x[:, None, :] - centroids[None, :, :], axis=2)
     d_time = np.abs(t[:, None] - taus[None, :])
-    nf = _rowwise_minmax(d_feat)
-    nt = _rowwise_minmax(d_time)
-    return np.sqrt(nf**2 + alpha_time * nt**2)
+    return _composite(_feature_distances(x, centroids), d_time, alpha_time)
+
+
+def _assign(
+    x: np.ndarray,
+    x_sq: np.ndarray,
+    t: np.ndarray,
+    centroids: np.ndarray,
+    taus: np.ndarray,
+    alpha_time: float,
+) -> np.ndarray:
+    """Composite-distance argmin per frame, always equal to the exact kernel's.
+
+    ``x_sq`` holds the squared frame norms.  Feature distances come from one
+    GEMM, ``g = sqrt(max(0, |x|^2 - 2 x.c + |c|^2))``, and every row whose
+    argmin the rounding in ``g`` could flip is recomputed exactly.
+
+    Error bound, with n = P·D and u = eps/2.  Each of |x|^2, x.c and |c|^2
+    is a sum of n products, off by at most n·u times |x|^2, |x||c| and
+    |c|^2 in any summation order, so |g^2 - d^2| <= gamma·(|x| + |c|)^2 for
+    the true distance d, with gamma = 2(n + 4)·eps four times above that.
+    As |g - d|^2 <= |g - d|(g + d) = |g^2 - d^2| (the clamp only shrinks
+    the error), |g - d| <= sqrt(gamma)·(|x| + |c|).  The exact kernel rounds
+    each difference once before squaring and summing, so its own value e has
+    |e - d| <= gamma·d, which the margin lets us write as gamma·g.  Per row,
+    E = max_j of sqrt(gamma)·(|x| + |c_j|) + gamma·g_j bounds |g_j - e_j|.
+
+    Min-max rescaling shifts each entry's numerator and the span by at most
+    2E, which moves a rescaled entry by at most 4E / (span - 2E) when
+    span > 2E.  The composite sqrt(nf^2 + alpha·nt^2) is 1-Lipschitz in nf
+    and its nt is computed identically on both sides, so each composite is
+    within B = 4E / (span - 2E) of the exact one, up to a few rounding
+    errors of the rescale and the composite themselves (``slack``).  A row
+    whose two smallest composites are more than 2B + slack apart therefore
+    has the same strict argmin as the exact kernel.  Every other row, and
+    every row with span <= 2E, is recomputed with the exact kernel; exact
+    ties, duplicate frames and duplicate centroids all land there, so ties
+    still break toward the lowest index.
+    """
+    d_time = np.abs(t[:, None] - taus[None, :])
+    if centroids.shape[0] == 1:
+        return _composite(_feature_distances(x, centroids), d_time, alpha_time).argmin(axis=1)
+
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    g = x_sq[:, None] - 2.0 * (x @ centroids.T) + c_sq[None, :]
+    np.sqrt(np.maximum(g, 0.0, out=g), out=g)
+    comp = _composite(g, d_time, alpha_time)
+    best = comp.argmin(axis=1)
+
+    gamma = 2.0 * (x.shape[1] + 4) * _EPS
+    err = math.sqrt(gamma) * (np.sqrt(x_sq)[:, None] + np.sqrt(c_sq)[None, :]) + gamma * g
+    e_row = err.max(axis=1)
+    span = g.max(axis=1) - g.min(axis=1)
+    slack = 4.0 * _EPS * (1.0 + math.sqrt(1.0 + alpha_time))
+    two = np.partition(comp, 1, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = 4.0 * e_row / (span - 2.0 * e_row)
+        safe = (span > 2.0 * e_row) & (two[:, 1] - two[:, 0] > 2.0 * bound + slack)
+    rows = np.flatnonzero(~safe)
+    if rows.size:
+        exact = _composite(_feature_distances(x[rows], centroids), d_time[rows], alpha_time)
+        best[rows] = exact.argmin(axis=1)
+    return best
 
 
 def composite_distances(
@@ -227,12 +314,12 @@ def cluster(
     centroids = x[idx].copy()
     taus = t[idx].copy()
 
+    x_sq = np.einsum("ij,ij->i", x, x)  # frames never move, so once per call
     assignments = np.zeros(n, dtype=np.intp)
     delta = math.inf
     iterations = 0
     while iterations < config.max_iters:
-        dist = _composite_matrix(x, t, centroids, taus, config.alpha_time)
-        assignments = dist.argmin(axis=1)
+        assignments = _assign(x, x_sq, t, centroids, taus, config.alpha_time)
 
         new_centroids = np.empty_like(centroids)
         new_taus = np.empty_like(taus)

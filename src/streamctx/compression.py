@@ -12,14 +12,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .clustering import Event
-from .errors import DegenerateVectorError, DimensionMismatchError, InvalidConfigError
+from .errors import DimensionMismatchError, InvalidConfigError
 from .providers import SUMMARY_PROMPT, HashingQuestionEmbedder, Summarizer, TextEmbedder
-from .store import cosine, mean_pool
+from .store import mean_pool
 
 logger = logging.getLogger(__name__)
 
@@ -50,6 +51,11 @@ class EventEmbedding:
     def __post_init__(self):
         vec = np.asarray(self.vector, dtype=np.float64).reshape(-1)
         object.__setattr__(self, "vector", vec)
+
+    @cached_property
+    def norm(self) -> float:
+        """The vector's Euclidean norm, taken once however many questions score it."""
+        return float(np.linalg.norm(self.vector))
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,10 +147,11 @@ def compress_stream(
 ) -> list[VisualUnit]:
     """Score every event against the question and compress the stream.
 
-    Relevance is ``cosine(event embedding, question embedding)``; a zero-norm
-    vector on either side scores -1 (never preserved) and is logged rather
-    than raised, since an all-zero event is valid input.  Output units are
-    ordered by event time centroid.
+    Relevance is ``cosine(event embedding, question embedding)``, computed as
+    ``store.cosine`` does but from each embedding's cached norm and one
+    question norm per call; a zero-norm vector on either side scores -1
+    (never preserved) and is logged rather than raised, since an all-zero
+    event is valid input.  Output units are ordered by event time centroid.
     """
     if len(events) != len(embeddings):
         raise DimensionMismatchError(
@@ -157,15 +164,16 @@ def compress_stream(
                 f"event embedding dim {emb.vector.shape[0]} != question dim {q.shape[0]}"
             )
 
+    nq = float(np.linalg.norm(q))
     units = []
     for event, emb in zip(events, embeddings):
-        try:
-            score = cosine(emb.vector, q)
-        except DegenerateVectorError:
+        if emb.norm == 0.0 or nq == 0.0:
             logger.warning(
                 "zero-norm embedding for event %d; scoring -1 (always pooled)", event.event_id
             )
             score = -1.0
+        else:
+            score = float(np.clip(float(emb.vector @ q) / (emb.norm * nq), -1.0, 1.0))
         preserved = score >= config.theta
         units.append(
             VisualUnit(

@@ -198,14 +198,18 @@ def _require(response: Mapping, key: str):
 
 Transport = Callable[[str, dict], Mapping]
 
+#: Seconds an HTTP provider call may block on connect or on one read before
+#: it fails as a ProviderError, so a hung endpoint cannot stall a replay.
+HTTP_TIMEOUT_S = 60.0
+
 
 def _http_post_json(url: str, body: dict) -> Mapping:
     data = json.dumps(body).encode("utf-8")
     req = urllib.request.Request(url, data=data, headers={"Content-Type": "application/json"})
     try:
-        with urllib.request.urlopen(req) as resp:
+        with urllib.request.urlopen(req, timeout=HTTP_TIMEOUT_S) as resp:
             return json.loads(resp.read().decode("utf-8"))
-    except Exception as exc:  # URLError, JSONDecodeError, ...
+    except Exception as exc:  # URLError, TimeoutError, JSONDecodeError, ...
         raise ProviderError(f"provider request to {url} failed: {exc}") from exc
 
 

@@ -87,6 +87,16 @@ class EngineConfig:
             )
         if not (0 < self.cluster_ratio and math.isfinite(self.cluster_ratio)):
             raise InvalidConfigError(f"cluster_ratio must be positive, got {self.cluster_ratio}")
+        # the per-stage configs own their rules; building them here fails at
+        # construction instead of on every question
+        CompressionConfig(theta=self.theta)
+        ClusterConfig(
+            k=1,
+            alpha_time=self.alpha_time,
+            max_iters=self.max_iters,
+            epsilon=self.epsilon,
+            seed=self.seed,
+        )
         object.__setattr__(self, "endpoints", dict(self.endpoints))
 
     def to_dict(self) -> dict:

@@ -1,9 +1,14 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_frames
+from streamctx import clustering
 from streamctx.clustering import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_ITERS,
@@ -104,6 +109,75 @@ class TestCompositeDistances:
             composite_distances([1.0, 2.0], 0.0, [[1.0]], [0.0], 1.0)
         with pytest.raises(DimensionMismatchError):
             composite_distances([1.0], 0.0, [[1.0], [2.0]], [0.0], 1.0)
+
+
+@st.composite
+def _assignment_case(draw):
+    """Frames, centroids and times built to sit near the kernel's hard cases."""
+    n = draw(st.integers(1, 24))
+    pd = draw(st.integers(1, 48))
+    k = draw(st.integers(1, min(n, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, 1.0, 1e3, 1e6]))
+    spread = draw(st.sampled_from([1.0, 1e-3, 1e-6]))
+    x = offset + spread * rng.normal(size=(n, pd))
+    if draw(st.booleans()):  # duplicate frames
+        x[n // 2 :] = x[: n - n // 2]
+    x = x.astype(np.float32).astype(np.float64)
+    c = x[rng.choice(n, size=k, replace=False)].copy()
+    shape = draw(st.sampled_from(["frames", "duplicate", "near", "all-equal", "midpoints"]))
+    if k > 1 and shape == "duplicate":
+        c[1] = c[0]
+    elif k > 1 and shape == "near":
+        c[1] = c[0] + 1e-9
+    elif shape == "all-equal":  # every row's feature distances are equal
+        c[:] = c[0]
+    elif k > 1 and shape == "midpoints":  # frames halfway between two centroids
+        x[: n // 2] = (c[0] + c[1]) / 2
+    t = np.cumsum(rng.uniform(0.1, 2.0, size=n))
+    taus = t[rng.integers(0, n, size=k)]
+    if draw(st.booleans()):
+        taus[:] = taus[0]
+    alpha = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    return x, t, c, taus, alpha
+
+
+class TestAssignmentKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(_assignment_case())
+    def test_guarded_argmin_equals_exact_kernel(self, case):
+        x, t, c, taus, alpha = case
+        exact = clustering._composite_matrix(x, t, c, taus, alpha).argmin(axis=1)
+        x_sq = np.einsum("ij,ij->i", x, x)
+        got = clustering._assign(x, x_sq, t, c, taus, alpha)
+        assert np.array_equal(got, exact)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_assignment_case(), st.integers(1, 64))
+    def test_chunked_exact_kernel_is_bitwise_unchunked(self, case, chunk):
+        x, _, c, _, _ = case
+        with mock.patch.object(clustering, "_CHUNK_ELEMENTS", chunk):
+            got = clustering._feature_distances(x, c)
+        assert np.array_equal(got, np.linalg.norm(x[:, None, :] - c[None], axis=2))
+
+    def test_chunked_exact_kernel_at_stream_size(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(480, 256)).astype(np.float32).astype(np.float64)
+        c = x[rng.choice(480, size=32, replace=False)]
+        got = clustering._feature_distances(x, c)
+        assert np.array_equal(got, np.linalg.norm(x[:, None, :] - c[None], axis=2))
+
+    def test_scratch_does_not_grow_with_n_k_pd(self):
+        # the (N, k, P·D) float64 temporary alone would be 480·32·256·8 B = 30 MiB
+        frames = make_frames(480, patches=8, dim=32, seed=11)
+        config = ClusterConfig(k=32, seed=0)
+        tracemalloc.start()
+        try:
+            cluster(frames, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestSeeding:

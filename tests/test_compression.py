@@ -17,7 +17,7 @@ from streamctx.compression import (
 )
 from streamctx.errors import DimensionMismatchError, InvalidConfigError, ProviderError
 from streamctx.providers import SUMMARY_PROMPT, HashingQuestionEmbedder
-from streamctx.store import FrameFeature
+from streamctx.store import FrameFeature, cosine
 
 
 def make_event(event_id, frames):
@@ -179,6 +179,23 @@ class TestCompressStream:
         )
         assert units[0].relevance == -1.0
         assert units[0].kind == PRESERVED  # -1 >= theta == -1 still passes the gate
+
+    def test_zero_norm_question_scores_minus_one(self, caplog):
+        event = filled_event(1, n_frames=1, patches=2, dim=2)
+        units = compress_stream([event], [EventEmbedding([1.0, 0.0], "t")], [0.0, 0.0])
+        assert units[0].relevance == -1.0
+        assert "zero-norm embedding for event 1" in caplog.text
+
+    def test_relevances_equal_store_cosine_bitwise(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            dim = int(rng.integers(1, 40))
+            embs = [EventEmbedding(rng.normal(size=dim) * 10.0 ** rng.integers(-6, 7), "t")
+                    for _ in range(6)]
+            events = [filled_event(i, 1, 1, dim, t0=float(i)) for i in range(1, 7)]
+            q = rng.normal(size=dim)
+            units = compress_stream(events, embs, q)
+            assert [u.relevance for u in units] == [cosine(e.vector, q) for e in embs]
 
     def test_units_sorted_by_time_centroid(self):
         late = filled_event(1, n_frames=1, patches=1, dim=2, t0=50.0)

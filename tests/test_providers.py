@@ -1,8 +1,10 @@
 import json
+import urllib.request
 
 import numpy as np
 import pytest
 
+from streamctx import providers
 from streamctx.errors import ProviderError
 from streamctx.providers import (
     JUDGE_ASPECTS,
@@ -137,6 +139,37 @@ class _ScriptedTransport:
     def __call__(self, url, body):
         self.calls.append((url, body))
         return self.responses[body["kind"]]
+
+
+class TestHttpTransport:
+    def test_timeout_is_passed_to_urlopen(self, monkeypatch):
+        seen = {}
+
+        class Reply:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self):
+                return b'{"vector": [1.0]}'
+
+        def fake_urlopen(req, timeout=None):
+            seen["timeout"] = timeout
+            return Reply()
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        assert JsonProviderClient("http://unit.test/v1").embed("q").tolist() == [1.0]
+        assert seen["timeout"] == providers.HTTP_TIMEOUT_S > 0
+
+    def test_timeout_surfaces_as_provider_error(self, monkeypatch):
+        def hung(req, timeout=None):
+            raise TimeoutError("timed out")
+
+        monkeypatch.setattr(urllib.request, "urlopen", hung)
+        with pytest.raises(ProviderError, match="timed out"):
+            JsonProviderClient("http://unit.test/v1").embed("q")
 
 
 class TestJsonProviderClient:

@@ -66,6 +66,15 @@ class TestEngineConfig:
         with pytest.raises(InvalidConfigError):
             EngineConfig(cluster_ratio=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"theta": 2.0}, {"alpha_time": -1.0}, {"max_iters": 0}, {"epsilon": -1e-9}]
+    )
+    def test_stage_config_rules_apply_at_construction(self, kwargs):
+        with pytest.raises(InvalidConfigError):
+            EngineConfig(**kwargs)
+        with pytest.raises(InvalidConfigError):
+            EngineConfig.from_dict(kwargs)
+
 
 @pytest.fixture(scope="module")
 def report(default_session):
