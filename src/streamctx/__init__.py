@@ -58,7 +58,6 @@ from .errors import (
 )
 from .paths import (
     PathConfig,
-    RelevancePair,
     build_relevant_sets,
     composite_score,
     generate_path,
@@ -119,7 +118,7 @@ __all__ = [
     "retrieve", "lexical_fallback", "parse_constrained", "render_constrained",
     "score_retrieval", "micro_metrics",
     # paths
-    "PathConfig", "RelevancePair", "score_relevance", "score_all_pairs",
+    "PathConfig", "score_relevance", "score_all_pairs",
     "build_relevant_sets", "composite_score", "selection_probabilities",
     "generate_path", "generate_paths",
     # assembly

@@ -80,15 +80,13 @@ def assemble(
     return ContextPackage(units=tuple(units), delta=int(delta), current_question=question)
 
 
-def render_layout(package: ContextPackage, template: Mapping[str, str] | None = None) -> str:
+def render_layout(package: ContextPackage) -> str:
     """Serialize a package to the canonical generator payload (a JSON string).
 
     The payload carries both structured ``blocks`` and a rendered ``layout``
-    built from the template; identical packages render byte-identically.
+    built from ``DEFAULT_TEMPLATE``; identical packages render byte-identically.
     """
-    tpl = dict(DEFAULT_TEMPLATE)
-    if template:
-        tpl.update(template)
+    tpl = DEFAULT_TEMPLATE
     blocks = []
     lines = []
     for unit in package.units:

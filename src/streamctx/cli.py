@@ -15,21 +15,21 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .clustering import ClusterConfig, choose_k, cluster, events_from
-from .compression import CompressionConfig, compress_stream, compression_ratio, embed_event, embed_question, token_count
+from .clustering import ClusterResult, choose_k, cluster, events_from
+from .compression import compress_stream, compression_ratio, embed_event, embed_question, token_count
 from .errors import InvalidConfigError, StreamContextError
 from .paths import PathConfig, attach_streams, build_relevant_sets, score_all_pairs
-from .retrieval import DialogueHistory, HistoryItem, RetrievalOutput, retrieve
-from .simulate import EngineConfig, evaluate, load_report_records, simulate
+from .retrieval import DialogueHistory, HistoryItem
+from .simulate import EngineConfig, evaluate, load_report_records, retrieval_policy, simulate
 from .store import load_embeddings, load_manifest, save_manifest, with_updated_pool
 from .synthetic import SyntheticSpec, make_synthetic
 
 
-def _engine_config(args: argparse.Namespace) -> EngineConfig:
+def _engine_config(args: argparse.Namespace, **overrides) -> EngineConfig:
+    """The ``--config`` file (or the defaults) with every flag that was given applied."""
     config = EngineConfig.from_file(args.config) if args.config else EngineConfig()
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    return config
+    overrides["seed"] = args.seed
+    return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _emit(args: argparse.Namespace, payload) -> None:
@@ -42,48 +42,31 @@ def _emit(args: argparse.Namespace, payload) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_cluster(args) -> None:
-    config = _engine_config(args)
+def _cluster_file(args, config: EngineConfig) -> tuple[list, ClusterResult]:
+    """The frames of ``--embeddings`` and their clustering (``--k`` or the ratio rule)."""
     frames = load_embeddings(args.embeddings)
     k = args.k if args.k is not None else choose_k(len(frames), config.cluster_ratio)
-    alpha = args.alpha_time if args.alpha_time is not None else config.alpha_time
-    result = cluster(
-        frames,
-        ClusterConfig(
-            k=k,
-            alpha_time=alpha,
-            max_iters=config.max_iters,
-            epsilon=config.epsilon,
-            seed=config.seed,
-        ),
-    )
+    return frames, cluster(frames, config.cluster_config(k, config.seed))
+
+
+def _cmd_cluster(args) -> None:
+    config = _engine_config(args, alpha_time=args.alpha_time)
+    _, result = _cluster_file(args, config)
     _emit(args, result.to_dict())
 
 
 def _cmd_compress(args) -> None:
-    config = _engine_config(args)
-    frames = load_embeddings(args.embeddings)
-    k = args.k if args.k is not None else choose_k(len(frames), config.cluster_ratio)
-    result = cluster(
-        frames,
-        ClusterConfig(
-            k=k,
-            alpha_time=config.alpha_time,
-            max_iters=config.max_iters,
-            epsilon=config.epsilon,
-            seed=config.seed,
-        ),
-    )
+    config = _engine_config(args, theta=args.theta)
+    frames, result = _cluster_file(args, config)
     events = events_from(result, frames)
     embeddings = [embed_event(ev) for ev in events]
     qvec = embed_question(args.question, dim=frames[0].dim)
-    theta = args.theta if args.theta is not None else config.theta
-    units = compress_stream(events, embeddings, qvec, CompressionConfig(theta))
+    units = compress_stream(events, embeddings, qvec, config.compression_config())
     _emit(
         args,
         {
             "question": args.question,
-            "theta": theta,
+            "theta": config.theta,
             "token_count": token_count(units),
             "compression_ratio": compression_ratio(units),
             "units": [
@@ -102,7 +85,8 @@ def _cmd_compress(args) -> None:
 
 
 def _cmd_retrieve(args) -> None:
-    config = _engine_config(args)
+    # the CLI injects no retriever, so provider mode fails here
+    select = retrieval_policy(_engine_config(args), None)
     manifest = load_manifest(args.manifest)
     if not 0 <= args.stream < len(manifest.dialogue_streams):
         raise InvalidConfigError(
@@ -122,10 +106,7 @@ def _cmd_retrieve(args) -> None:
         raise InvalidConfigError(f"qa_id {args.qa_id} is not on stream {args.stream}")
     history = DialogueHistory(tuple(items))
     question = qa_by_id[args.qa_id].question
-    if config.retrieval_mode == "oracle":
-        output = RetrievalOutput(selected_ids=target.gold_relevant & history.ids, delta=0)
-    else:
-        output = retrieve(history, question, None, threshold=config.retrieval_threshold)
+    output = select(history, question, target.gold_relevant)
     _emit(
         args,
         {
@@ -151,11 +132,11 @@ def _cmd_score_relevance(args) -> None:
 
 
 def _cmd_build_paths(args) -> None:
-    config = _engine_config(args)
+    config = _engine_config(args, alpha_len=args.alpha_len, num_paths=args.num_paths)
     manifest = load_manifest(args.manifest)
     path_config = PathConfig(
-        alpha_len=args.alpha_len if args.alpha_len is not None else config.alpha_len,
-        num_paths=args.num_paths if args.num_paths is not None else config.num_paths,
+        alpha_len=config.alpha_len,
+        num_paths=config.num_paths,
         complex_per_segment=args.complex_per_segment,
         force_include_global=args.force_include_global,
         seed=config.seed,

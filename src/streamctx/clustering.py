@@ -391,7 +391,7 @@ class Event:
     @cached_property
     def pooled(self) -> np.ndarray:
         """One mean-pooled token per member frame, shape (F, D)."""
-        return _read_only(np.stack([f.patches.mean(axis=0) for f in self.frames]))
+        return _read_only(self.patches.mean(axis=1))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -87,35 +87,19 @@ class VisualUnit:
         return self.num_frames * (self.patch_count if self.kind == PRESERVED else 1)
 
 
-def embed_event(
-    event: Event,
-    summarizer: Summarizer | None = None,
-    *,
-    fallback_on_error: bool = False,
-) -> EventEmbedding:
+def embed_event(event: Event, summarizer: Summarizer | None = None) -> EventEmbedding:
     """Embed one event, via the summarizer provider or the local fallback.
 
     The provider receives the event's frame features concatenated along the
     patch axis together with a fixed summarization prompt, and its returned
     hidden states are mean-pooled over the token axis.  Without a provider
     the embedding is simply the mean over all patch rows of all frames.
-    Provider failures propagate unless ``fallback_on_error`` is set, in which
-    case the fallback result is used and the failure logged.
+    Provider failures propagate.
     """
     stacked = event.patches.reshape(-1, event.patches.shape[-1])
     if summarizer is not None:
-        try:
-            states = summarizer.hidden_states(stacked.astype(np.float64), SUMMARY_PROMPT)
-            return EventEmbedding(mean_pool(states), provenance=summarizer.provider_id)
-        except Exception:
-            if not fallback_on_error:
-                raise
-            logger.warning(
-                "summarizer %s failed for event %d; using mean-pool fallback",
-                getattr(summarizer, "provider_id", "?"),
-                event.event_id,
-                exc_info=True,
-            )
+        states = summarizer.hidden_states(stacked.astype(np.float64), SUMMARY_PROMPT)
+        return EventEmbedding(mean_pool(states), provenance=summarizer.provider_id)
     return EventEmbedding(mean_pool(stacked), provenance="fallback-meanpool")
 
 

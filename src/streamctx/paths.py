@@ -58,21 +58,6 @@ class PathConfig:
             raise InvalidConfigError(f"alpha_len must be finite, got {self.alpha_len}")
 
 
-@dataclass(frozen=True)
-class RelevancePair:
-    """Score of one (current question, earlier question) dependency."""
-
-    current_id: int
-    prior_id: int
-    score: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.score) or not RELEVANCE_MIN <= self.score <= RELEVANCE_MAX:
-            raise ValueError(
-                f"relevance score must be in [{RELEVANCE_MIN}, {RELEVANCE_MAX}], got {self.score}"
-            )
-
-
 def score_relevance(
     current: QARecord, prior: QARecord, scorer: RelevanceScorer | None = None
 ) -> float:

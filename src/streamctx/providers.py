@@ -18,9 +18,7 @@ object carrying a ``kind`` discriminator:
         -> {"answer": "..."}
 
 ``JsonProviderClient`` speaks this format over any transport callable, so
-tests exercise the full encode/decode path without a network.  The answer
-judge ({"kind": "judge", ...}) is declared for completeness but has no local
-implementation: judged answer quality is out of scope here.
+tests exercise the full encode/decode path without a network.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import urllib.request
-from typing import Callable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Callable, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -39,15 +37,6 @@ from .text import tokenize
 SUMMARY_PROMPT = (
     "Condense the visual content of this event into a single dense "
     "representation covering its objects, actions, and setting."
-)
-
-#: Aspects an answer judge is expected to score; no local scorer exists.
-JUDGE_ASPECTS = (
-    "information_accuracy",
-    "detail_completeness",
-    "context_awareness",
-    "temporal_precision",
-    "logical_consistency",
 )
 
 
@@ -86,18 +75,6 @@ class Generator(Protocol):
     provider_id: str
 
     def generate(self, payload: str) -> str: ...
-
-
-@runtime_checkable
-class AnswerJudge(Protocol):
-    """Scores a generated answer against a reference on JUDGE_ASPECTS.
-
-    Interface only: no fallback implementation ships with this package.
-    """
-
-    provider_id: str
-
-    def judge(self, question: str, reference: str, generated: str) -> Mapping[str, float]: ...
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +242,3 @@ class JsonProviderClient:
         if not isinstance(answer, str):
             raise ProviderError(f"generated answer must be a string, got {type(answer).__name__}")
         return answer
-
-    def judge(self, question: str, reference: str, generated: str) -> Mapping[str, float]:
-        resp = self._call(
-            {"kind": "judge", "question": question, "reference": reference, "generated": generated}
-        )
-        scores = _require(resp, "scores")
-        missing = [a for a in JUDGE_ASPECTS if a not in scores]
-        if missing:
-            raise ProviderError(f"judge response is missing aspects {missing}")
-        return {a: float(scores[a]) for a in JUDGE_ASPECTS}

@@ -20,9 +20,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from .errors import ProviderError, RetrievalParseError
 from .providers import Retriever

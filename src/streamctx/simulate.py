@@ -25,9 +25,9 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,11 +43,12 @@ from .compression import (
     embed_question,
 )
 from .errors import InvalidConfigError, StreamContextError
-from .paths import DEFAULT_ALPHA_LEN, DEFAULT_NUM_PATHS
+from .paths import DEFAULT_ALPHA_LEN, DEFAULT_NUM_PATHS, PathConfig
 from .providers import Generator, HashingQuestionEmbedder, Retriever, Summarizer, TextEmbedder
 from .retrieval import (
     DialogueHistory,
     HistoryItem,
+    RetrievalMetrics,
     RetrievalOutput,
     micro_metrics,
     retrieve,
@@ -63,9 +64,22 @@ VOLATILE_FIELDS = ("wall_ms",)
 RETRIEVAL_MODES = ("fallback", "provider", "oracle")
 
 
+def _json_typed(value, kind: type) -> bool:
+    """``value`` has the JSON type of ``kind``: bools are not numbers, ints count as floats."""
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 @dataclass(frozen=True)
 class EngineConfig:
-    """Every tunable of the streaming engine, JSON round-trippable."""
+    """Every tunable of the streaming engine, JSON round-trippable.
+
+    Construction checks every field's type and range, so a bad config fails
+    here instead of on every question.  ``cluster_config`` and
+    ``compression_config`` are the only places engine settings become stage
+    configs, and the stage configs own their rules.
+    """
 
     cluster_ratio: float = 1.0 / 15.0
     alpha_time: float = 1.0
@@ -78,32 +92,48 @@ class EngineConfig:
     alpha_len: float = DEFAULT_ALPHA_LEN
     num_paths: int = DEFAULT_NUM_PATHS
     seed: int = 0
-    endpoints: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _json_typed(value, type(f.default)):
+                raise InvalidConfigError(
+                    f"{f.name} must be a {type(f.default).__name__}, got {value!r}"
+                )
         if self.retrieval_mode not in RETRIEVAL_MODES:
             raise InvalidConfigError(
                 f"retrieval_mode must be one of {RETRIEVAL_MODES}, got {self.retrieval_mode!r}"
             )
         if not (0 < self.cluster_ratio and math.isfinite(self.cluster_ratio)):
             raise InvalidConfigError(f"cluster_ratio must be positive, got {self.cluster_ratio}")
-        # the per-stage configs own their rules; building them here fails at
-        # construction instead of on every question
-        CompressionConfig(theta=self.theta)
-        ClusterConfig(
-            k=1,
+        if not 0.0 <= self.retrieval_threshold <= 1.0:
+            raise InvalidConfigError(
+                f"retrieval_threshold must be in [0, 1], got {self.retrieval_threshold}"
+            )
+        self.compression_config()
+        self.cluster_config(k=1, seed=self.seed)
+        PathConfig(alpha_len=self.alpha_len, num_paths=self.num_paths, seed=self.seed)
+
+    def cluster_config(self, k: int, seed: int) -> ClusterConfig:
+        """The clustering run for ``k`` clusters seeded with ``seed``."""
+        return ClusterConfig(
+            k=k,
             alpha_time=self.alpha_time,
             max_iters=self.max_iters,
             epsilon=self.epsilon,
-            seed=self.seed,
+            seed=seed,
         )
-        object.__setattr__(self, "endpoints", dict(self.endpoints))
+
+    def compression_config(self) -> CompressionConfig:
+        return CompressionConfig(theta=self.theta)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "EngineConfig":
+        if not isinstance(obj, Mapping):
+            raise InvalidConfigError(f"config must be a JSON object, got {type(obj).__name__}")
         known = {f.name for f in fields(cls)}
         stray = set(obj) - known
         if stray:
@@ -120,7 +150,11 @@ class EngineConfig:
 
 @dataclass
 class ProviderSet:
-    """Optional injected providers; any left as None uses the local fallback."""
+    """Optional injected providers; any left as None uses the local fallback.
+
+    The exception is ``retrieval_mode="provider"``, which has no fallback and
+    needs ``retriever``.
+    """
 
     summarizer: Summarizer | None = None
     embedder: TextEmbedder | None = None
@@ -154,6 +188,31 @@ class _FrameGuard:
             if f.timestamp > ask_time:
                 self.violations += 1
         return finished, out
+
+
+def retrieval_policy(
+    config: EngineConfig, retriever: Retriever | None
+) -> Callable[[DialogueHistory, str, frozenset[int]], RetrievalOutput]:
+    """The engine's one ``retrieval_mode`` dispatch, resolved before any question.
+
+    Returns ``select(history, question, gold)``.  ``oracle`` selects the gold
+    turns present in the history, ``provider`` asks ``retriever``, and
+    ``fallback`` runs the lexical fallback at ``retrieval_threshold``.
+    ``provider`` without a retriever raises ``InvalidConfigError`` here
+    instead of quietly running the fallback.
+    """
+    if config.retrieval_mode == "oracle":
+        return lambda history, question, gold: RetrievalOutput(
+            selected_ids=gold & history.ids, delta=0
+        )
+    if config.retrieval_mode == "provider":
+        if retriever is None:
+            raise InvalidConfigError(
+                "retrieval_mode 'provider' needs an injected retriever (ProviderSet.retriever)"
+            )
+        return lambda history, question, gold: retrieve(history, question, retriever)
+    threshold = config.retrieval_threshold
+    return lambda history, question, gold: retrieve(history, question, None, threshold=threshold)
 
 
 def _question_seed(base_seed: int, prefix: int) -> int:
@@ -211,11 +270,13 @@ def simulate(
             f"stream_index {stream_index} out of range; manifest has "
             f"{len(manifest.dialogue_streams)} streams"
         )
+    prov = providers or ProviderSet()
+    select = retrieval_policy(config, prov.retriever)
     if frames is None:
         if base_dir is None:
             raise InvalidConfigError("need either preloaded frames or a base_dir to load from")
         frames = load_session_frames(manifest, base_dir)
-    prov = providers or ProviderSet()
+    compression = config.compression_config()
 
     guard = _FrameGuard(manifest, frames)
     qa_by_id = {qa.qa_id: qa for qa in manifest.qa_pool}
@@ -228,7 +289,6 @@ def simulate(
     last: tuple[int, ClusterResult, list[Event], list[EventEmbedding]] | None = None
 
     records: list[dict] = []
-    confusions = []
     for entry in path.entries:
         qa = qa_by_id[entry.qa_id]
         started = time.perf_counter()
@@ -250,33 +310,15 @@ def simulate(
             if last is not None and last[0] == finished:
                 _, result, events, embeddings = last
             else:
-                result = cluster(
-                    visible,
-                    ClusterConfig(
-                        k=k,
-                        alpha_time=config.alpha_time,
-                        max_iters=config.max_iters,
-                        epsilon=config.epsilon,
-                        seed=_question_seed(config.seed, finished),
-                    ),
-                )
+                seed = _question_seed(config.seed, finished)
+                result = cluster(visible, config.cluster_config(k, seed))
                 events = events_from(result, visible)
                 embeddings = [embed_event(ev, prov.summarizer) for ev in events]
             if question_embedder is None:
                 question_embedder = HashingQuestionEmbedder(visible[0].dim)
             qvec = embed_question(qa.question, question_embedder)
-            units = compress_stream(events, embeddings, qvec, CompressionConfig(config.theta))
-
-            if config.retrieval_mode == "oracle":
-                retrieval = RetrievalOutput(
-                    selected_ids=entry.gold_relevant & history.ids, delta=0
-                )
-            elif config.retrieval_mode == "provider":
-                retrieval = retrieve(history, qa.question, prov.retriever)
-            else:
-                retrieval = retrieve(
-                    history, qa.question, None, threshold=config.retrieval_threshold
-                )
+            units = compress_stream(events, embeddings, qvec, compression)
+            retrieval = select(history, qa.question, entry.gold_relevant)
             selected_items = [h for h in history if h.qa_id in retrieval.selected_ids]
 
             package = assemble(units, selected_items, retrieval.delta, qa.question)
@@ -284,7 +326,6 @@ def simulate(
             generated_answer = answer_record.answer
 
             confusion = score_retrieval(retrieval, entry.gold_relevant, history.ids)
-            confusions.append(confusion)
             record.update(
                 {
                     "num_frames": len(visible),
@@ -318,21 +359,11 @@ def simulate(
             HistoryItem(qa_id=qa.qa_id, question=qa.question, answer=spoken, ask_time=entry.ask_time)
         )
 
-    corpus = micro_metrics(confusions) if confusions else None
-    ok = [r for r in records if "error" not in r]
     summary = {
         "video_id": manifest.video_id,
         "stream_index": stream_index,
-        "questions": len(records),
-        "failed_questions": len(records) - len(ok),
+        **summarize_records(records),
         "leakage_violations": guard.violations,
-        "retrieval": corpus.to_dict() if corpus else None,
-        "mean_compression_ratio": (
-            float(np.mean([r["compression_ratio"] for r in ok])) if ok else None
-        ),
-        "mean_tokens_per_question": (
-            float(np.mean([r["visual_tokens"] + r["text_tokens"] for r in ok])) if ok else None
-        ),
         "config": config.to_dict(),
     }
     return SimulationReport(
@@ -447,32 +478,22 @@ def load_report_records(path) -> list[dict]:
     return records
 
 
-def evaluate(record_sets: Sequence[Sequence[dict]]) -> dict:
-    """Corpus metrics across one or more reports' records.
+def summarize_records(records: Sequence[dict]) -> dict:
+    """The corpus fields a report summary and ``evaluate`` share.
 
     Retrieval confusions micro-aggregate; compression ratios and token
     totals average over questions that completed.
     """
-    all_records = [rec for records in record_sets for rec in records]
-    if not all_records:
-        raise ValueError("no records to evaluate")
-    ok = [r for r in all_records if "error" not in r]
-    from .retrieval import RetrievalMetrics
-
+    ok = [r for r in records if "error" not in r]
     confusions = [
-        RetrievalMetrics(
-            tp=r["retrieval_confusion"]["tp"],
-            fp=r["retrieval_confusion"]["fp"],
-            fn=r["retrieval_confusion"]["fn"],
-            tn=r["retrieval_confusion"]["tn"],
-        )
+        RetrievalMetrics(**{key: r["retrieval_confusion"][key] for key in ("tp", "fp", "fn", "tn")})
         for r in ok
         if "retrieval_confusion" in r
     ]
     corpus = micro_metrics(confusions) if confusions else None
     return {
-        "questions": len(all_records),
-        "failed_questions": len(all_records) - len(ok),
+        "questions": len(records),
+        "failed_questions": len(records) - len(ok),
         "retrieval": corpus.to_dict() if corpus else None,
         "mean_compression_ratio": (
             float(np.mean([r["compression_ratio"] for r in ok])) if ok else None
@@ -481,3 +502,11 @@ def evaluate(record_sets: Sequence[Sequence[dict]]) -> dict:
             float(np.mean([r["visual_tokens"] + r["text_tokens"] for r in ok])) if ok else None
         ),
     }
+
+
+def evaluate(record_sets: Sequence[Sequence[dict]]) -> dict:
+    """Corpus metrics across one or more reports' records (``summarize_records``)."""
+    all_records = [rec for records in record_sets for rec in records]
+    if not all_records:
+        raise ValueError("no records to evaluate")
+    return summarize_records(all_records)

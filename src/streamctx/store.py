@@ -20,7 +20,7 @@ import json
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -250,12 +250,6 @@ class SessionManifest:
                     raise ManifestError(
                         f"dialogue stream references unknown qa_id {entry.qa_id}"
                     )
-
-    def qa_by_id(self, qa_id: int) -> QARecord:
-        for qa in self.qa_pool:
-            if qa.qa_id == qa_id:
-                return qa
-        raise KeyError(qa_id)
 
 
 def with_updated_pool(manifest: SessionManifest, pool: Sequence[QARecord]) -> SessionManifest:
@@ -499,7 +493,3 @@ def load_session_frames(
                 )
         out[seg.segment_id] = frames
     return out
-
-
-def iter_qa_ids(manifest: SessionManifest) -> Iterable[int]:
-    return (qa.qa_id for qa in manifest.qa_pool)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from streamctx.assembly import (
-    DEFAULT_TEMPLATE,
     PAYLOAD_SCHEMA,
     AnswerRecord,
     ContextPackage,
@@ -101,13 +100,6 @@ class TestRenderLayout:
     def test_render_is_deterministic(self):
         pkg = assemble([visual_unit(1, 0.0)], [text_item(2, 3.0)], 0, "q")
         assert render_layout(pkg) == render_layout(pkg)
-
-    def test_template_override(self):
-        pkg = assemble([], [text_item(2, 3.0, "old q", "old a")], 0, "q")
-        out = json.loads(render_layout(pkg, template={"text": "T{qa_id}"}))
-        assert out["layout"].split("\n")[0] == "T2"
-        # untouched entries still come from the default template
-        assert out["layout"].split("\n")[-1] == DEFAULT_TEMPLATE["question"].format(question="q")
 
     def test_preserved_token_accounting_in_blocks(self):
         pkg = assemble([visual_unit(3, 1.0, n_frames=4, patches=5)], [], 0, "q")

@@ -76,6 +76,18 @@ class TestCluster:
         assert code == 0 and out == ""
         assert len(json.loads(target.read_text())["assignments"]) == 10
 
+    def test_alpha_time_flag_matches_the_config_key(self, corpus, capsys, tmp_path):
+        embeddings = str(corpus / "embeddings" / "segment_001.bin")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha_time": 0.0}))
+        _, from_flag, _ = run(capsys, "cluster", "--embeddings", embeddings, "--k", "3",
+                              "--alpha-time", "0")
+        _, from_file, _ = run(capsys, "cluster", "--embeddings", embeddings, "--k", "3",
+                              "--config", str(config))
+        _, default, _ = run(capsys, "cluster", "--embeddings", embeddings, "--k", "3")
+        assert from_flag == from_file
+        assert json.loads(from_flag)["k"] == json.loads(default)["k"] == 3
+
     def test_missing_file_is_a_json_error(self, capsys):
         code, out, err = run(capsys, "cluster", "--embeddings", "/no/such/file.bin")
         assert code == 1 and out == ""
@@ -125,6 +137,17 @@ class TestRetrieve:
         assert obj["history_size"] == len(manifest.dialogue_streams[0].entries) - 1
         assert obj["delta"] in (0, 1)
         assert isinstance(obj["selected_ids"], list)
+
+    def test_provider_mode_is_a_json_error(self, corpus, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"retrieval_mode": "provider"}))
+        entry = load_manifest(corpus / "manifest.json").dialogue_streams[0].entries[-1]
+        code, out, err = run(
+            capsys, "retrieve", "--manifest", str(corpus / "manifest.json"),
+            "--qa-id", str(entry.qa_id), "--config", str(config),
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "InvalidConfigError"
 
     def test_unknown_qa_id_fails_cleanly(self, corpus, capsys):
         code, _, err = run(
@@ -199,6 +222,27 @@ class TestSimulateAndEval:
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["config"]["theta"] == 0.9
         assert summary["config"]["seed"] == 5
+
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"retrieval_threshold": "x"},
+            {"theta": "x"},
+            {"num_paths": 0, "alpha_len": "x"},
+            {"retrieval_mode": "provider"},
+        ],
+    )
+    def test_bad_config_is_one_json_error_line(self, corpus, capsys, tmp_path, bad):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(bad))
+        code, out, err = run(
+            capsys, "simulate", "--manifest", str(corpus / "manifest.json"),
+            "--config", str(config),
+        )
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "InvalidConfigError"
 
 
 class TestParser:

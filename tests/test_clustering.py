@@ -422,3 +422,31 @@ class TestEvents:
         for e in events:
             assert e.start_s == min(f.timestamp for f in e.frames)
             assert e.end_s == max(f.timestamp for f in e.frames)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.sampled_from([1, 2, 3, 8, 9, 31, 130]),
+        st.sampled_from([1, 2, 5, 32]),
+        st.floats(-6, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_pooled_equals_the_per_frame_mean_bitwise(self, n_frames, patches, dim, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        frames = [
+            FrameFeature(rng.normal(scale * 3, scale, size=(patches, dim)), float(t))
+            for t in range(n_frames)
+        ]
+        res = ClusterResult(
+            feature_centroids=np.zeros((1, patches, dim)),
+            time_centroids=np.zeros(1),
+            assignments=np.zeros(n_frames, dtype=int),
+            iterations=1,
+            final_delta=0.0,
+        )
+        (event,) = events_from(res, frames)
+        per_frame = np.stack([f.patches.mean(axis=0) for f in frames])
+        assert event.pooled.dtype == per_frame.dtype == np.float32
+        assert event.pooled.shape == (n_frames, dim)
+        assert event.pooled.tobytes() == per_frame.tobytes()

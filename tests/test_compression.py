@@ -95,12 +95,6 @@ class TestEmbedEvent:
         with pytest.raises(ProviderError):
             embed_event(self._event(), summarizer)
 
-    def test_provider_failure_can_fall_back(self):
-        summarizer = _ScriptedSummarizer(ProviderError("down"))
-        emb = embed_event(self._event(), summarizer, fallback_on_error=True)
-        assert emb.vector.tolist() == [3.0, 3.0]
-        assert emb.provenance == "fallback-meanpool"
-
 
 class TestEmbedQuestion:
     def test_fallback_matches_hashing_embedder(self):

@@ -1,0 +1,35 @@
+import importlib
+import inspect
+
+import pytest
+
+import streamctx
+
+#: Deleted names, each with the module that used to hold it.
+DELETED = [
+    ("streamctx.store", "iter_qa_ids"),
+    ("streamctx.paths", "RelevancePair"),
+    ("streamctx.providers", "AnswerJudge"),
+    ("streamctx.providers", "JUDGE_ASPECTS"),
+]
+
+
+def test_every_exported_name_resolves():
+    assert len(set(streamctx.__all__)) == len(streamctx.__all__)
+    for name in streamctx.__all__:
+        assert getattr(streamctx, name) is not None, name
+
+
+@pytest.mark.parametrize("module,name", DELETED)
+def test_deleted_names_are_gone(module, name):
+    assert name not in streamctx.__all__
+    assert not hasattr(streamctx, name)
+    assert not hasattr(importlib.import_module(module), name)
+
+
+def test_deleted_members_are_gone():
+    assert not hasattr(streamctx.SessionManifest, "qa_by_id")
+    assert not hasattr(streamctx.JsonProviderClient, "judge")
+    assert not hasattr(streamctx.EngineConfig(), "endpoints")
+    assert list(inspect.signature(streamctx.embed_event).parameters) == ["event", "summarizer"]
+    assert list(inspect.signature(streamctx.render_layout).parameters) == ["package"]

@@ -9,7 +9,6 @@ from streamctx.paths import (
     DEFAULT_NUM_PATHS,
     RELEVANCE_THRESHOLD,
     PathConfig,
-    RelevancePair,
     attach_streams,
     build_relevant_sets,
     composite_score,
@@ -43,13 +42,6 @@ class TestConfig:
             PathConfig(basic_per_segment=-1)
         with pytest.raises(InvalidConfigError):
             PathConfig(alpha_len=float("inf"))
-
-    def test_relevance_pair_range(self):
-        RelevancePair(2, 1, 7.0)
-        with pytest.raises(ValueError):
-            RelevancePair(2, 1, 7.0001)
-        with pytest.raises(ValueError):
-            RelevancePair(2, 1, -0.5)
 
 
 class _FixedScorer:

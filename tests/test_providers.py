@@ -7,9 +7,7 @@ import pytest
 from streamctx import providers
 from streamctx.errors import ProviderError
 from streamctx.providers import (
-    JUDGE_ASPECTS,
     SUMMARY_PROMPT,
-    AnswerJudge,
     EchoGenerator,
     Generator,
     HashingQuestionEmbedder,
@@ -119,15 +117,6 @@ class TestWireFormat:
     def test_generate_request(self):
         assert generate_request("{}") == {"kind": "generate", "payload": "{}"}
 
-    def test_judge_aspects_are_fixed(self):
-        assert JUDGE_ASPECTS == (
-            "information_accuracy",
-            "detail_completeness",
-            "context_awareness",
-            "temporal_precision",
-            "logical_consistency",
-        )
-
 
 class _ScriptedTransport:
     """Canned responses keyed by request kind; records every call."""
@@ -179,7 +168,7 @@ class TestJsonProviderClient:
 
     def test_protocol_conformance(self):
         client, _ = self.make({})
-        for proto in (Summarizer, TextEmbedder, Retriever, RelevanceScorer, Generator, AnswerJudge):
+        for proto in (Summarizer, TextEmbedder, Retriever, RelevanceScorer, Generator):
             assert isinstance(client, proto)
         assert isinstance(HashingQuestionEmbedder(4), TextEmbedder)
         assert isinstance(EchoGenerator(), Generator)
@@ -213,17 +202,6 @@ class TestJsonProviderClient:
     def test_generate_round_trip(self):
         client, _ = self.make({"generate": {"answer": "it moved left"}})
         assert client.generate("{}") == "it moved left"
-
-    def test_judge_round_trip_and_aspect_check(self):
-        full = {a: 4.0 for a in JUDGE_ASPECTS}
-        client, _ = self.make({"judge": {"scores": full}})
-        assert client.judge("q", "ref", "gen") == full
-
-        partial = dict(full)
-        del partial["temporal_precision"]
-        client, _ = self.make({"judge": {"scores": partial}})
-        with pytest.raises(ProviderError):
-            client.judge("q", "ref", "gen")
 
     @pytest.mark.parametrize(
         "kind,call",

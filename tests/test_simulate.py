@@ -9,7 +9,7 @@ import pytest
 
 from streamctx.errors import InvalidConfigError, ProviderError
 from streamctx.providers import EchoGenerator, HashingQuestionEmbedder
-from streamctx.retrieval import RetrievalMetrics, micro_metrics
+from streamctx.retrieval import DialogueHistory, RetrievalMetrics, micro_metrics
 from streamctx.simulate import (
     RETRIEVAL_MODES,
     VOLATILE_FIELDS,
@@ -19,6 +19,7 @@ from streamctx.simulate import (
     evaluate,
     load_report_records,
     simulate,
+    summarize_records,
     validate_report,
 )
 from streamctx.store import DialoguePath, FrameFeature, PathEntry
@@ -39,10 +40,9 @@ class TestEngineConfig:
         assert cfg.alpha_len == 0.3
         assert cfg.num_paths == 3
         assert cfg.seed == 0
-        assert cfg.endpoints == {}
 
     def test_round_trip(self):
-        cfg = EngineConfig(theta=0.6, seed=9, endpoints={"generate": "http://x"})
+        cfg = EngineConfig(theta=0.6, seed=9, retrieval_mode="oracle")
         again = EngineConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
@@ -67,13 +67,105 @@ class TestEngineConfig:
             EngineConfig(cluster_ratio=0.0)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"theta": 2.0}, {"alpha_time": -1.0}, {"max_iters": 0}, {"epsilon": -1e-9}]
+        "kwargs",
+        [
+            {"theta": 2.0},
+            {"alpha_time": -1.0},
+            {"max_iters": 0},
+            {"epsilon": -1e-9},
+            {"num_paths": 0},
+            {"alpha_len": float("inf")},
+            {"retrieval_threshold": float("nan")},
+            {"retrieval_threshold": float("inf")},
+            {"retrieval_threshold": -0.1},
+            {"retrieval_threshold": 1.5},
+        ],
     )
     def test_stage_config_rules_apply_at_construction(self, kwargs):
         with pytest.raises(InvalidConfigError):
             EngineConfig(**kwargs)
         with pytest.raises(InvalidConfigError):
             EngineConfig.from_dict(kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"retrieval_threshold": "x"},
+            {"theta": "x"},
+            {"num_paths": 0, "alpha_len": "x"},
+            {"alpha_len": None},
+            {"max_iters": 2.5},
+            {"seed": 1.0},
+            {"seed": True},
+            {"theta": True},
+            {"use_gold_answers": 1},
+            {"retrieval_mode": 3},
+        ],
+    )
+    def test_wrong_types_rejected(self, kwargs):
+        with pytest.raises(InvalidConfigError):
+            EngineConfig.from_dict(kwargs)
+
+    def test_ints_count_as_floats(self):
+        cfg = EngineConfig.from_dict({"theta": 0, "alpha_time": 2, "retrieval_threshold": 1})
+        assert cfg.theta == 0 and cfg.alpha_time == 2 and cfg.retrieval_threshold == 1
+
+    @pytest.mark.parametrize("text", ["5", "null", "[1, 2]"])
+    def test_config_must_be_an_object(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(InvalidConfigError):
+            EngineConfig.from_file(path)
+
+    def test_stage_configs_carry_the_engine_settings(self):
+        cfg = EngineConfig(alpha_time=0.5, max_iters=7, epsilon=1e-3, theta=0.2, seed=4)
+        stage = cfg.cluster_config(k=3, seed=11)
+        assert (stage.k, stage.alpha_time, stage.max_iters, stage.epsilon, stage.seed) == (
+            3, 0.5, 7, 1e-3, 11,
+        )
+        assert cfg.compression_config().theta == 0.2
+
+
+#: The names ``simulate`` calls through its module globals, which the replay
+#: benchmark's tracer wraps.
+SIMULATE_CALLS = (
+    "cluster", "events_from", "embed_event", "embed_question",
+    "compress_stream", "retrieve", "assemble", "generate_answer",
+)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Recording wrappers around every name in SIMULATE_CALLS."""
+    module = importlib.import_module("streamctx.simulate")
+    seen = defaultdict(list)
+
+    def recording(name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            seen[name].append((args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in SIMULATE_CALLS:
+        recording(name)
+    return seen
+
+
+class NullRetriever:
+    """An injected retriever that never selects a turn."""
+
+    provider_id = "null"
+
+    def __init__(self):
+        self.calls = 0
+
+    def select(self, request):
+        self.calls += 1
+        return "delta=0;selected="
 
 
 @pytest.fixture(scope="module")
@@ -158,16 +250,6 @@ class TestSimulateModes:
         assert corpus["fp"] == 0 and corpus["fn"] == 0
 
     def test_provider_retrieval_uses_injected_retriever(self, default_session):
-        class NullRetriever:
-            provider_id = "null"
-
-            def __init__(self):
-                self.calls = 0
-
-            def select(self, request):
-                self.calls += 1
-                return "delta=0;selected="
-
         retriever = NullRetriever()
         report = simulate(
             default_session.manifest,
@@ -179,6 +261,17 @@ class TestSimulateModes:
         assert retriever.calls == 20
         assert report.summary["failed_questions"] == 0
         assert all(r["retrieval"]["selected_ids"] == [] for r in report.records)
+
+    def test_provider_mode_without_a_retriever_fails_up_front(self, default_session, calls):
+        with pytest.raises(InvalidConfigError, match="retriever"):
+            simulate(
+                default_session.manifest,
+                0,
+                EngineConfig(retrieval_mode="provider"),
+                frames=default_session.frames,
+                providers=ProviderSet(generator=EchoGenerator()),
+            )
+        assert not calls  # no question started
 
     def test_gold_answer_history_mode_runs_clean(self, default_session):
         report = simulate(
@@ -279,6 +372,36 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate([[]])
 
+    def test_summary_shares_the_aggregation(self, default_session):
+        class FailsThird:
+            provider_id = "fails-third"
+
+            def __init__(self):
+                self.calls = 0
+
+            def generate(self, payload):
+                self.calls += 1
+                if self.calls % 3 == 0:
+                    raise ProviderError("down")
+                return EchoGenerator().generate(payload)
+
+        report = simulate(
+            default_session.manifest,
+            0,
+            EngineConfig(),
+            frames=default_session.frames,
+            providers=ProviderSet(generator=FailsThird()),
+        )
+        assert report.summary["failed_questions"] == 6
+        records = [json.loads(line) for line in report.lines()[:-1]]
+        shared = evaluate([records])
+        assert set(shared) == {
+            "questions", "failed_questions", "retrieval",
+            "mean_compression_ratio", "mean_tokens_per_question",
+        }
+        assert shared == {key: report.summary[key] for key in shared}
+        assert summarize_records(report.records) == shared
+
 
 class TestReportSchema:
     def test_bad_line_rejected(self, default_session):
@@ -300,28 +423,38 @@ class TestReportSchema:
         assert all(obj["kind"] == "record" for obj in parsed[:-1])
 
 
+class TestTracerContract:
+    """The replay benchmark's tracer swaps these names in ``streamctx.simulate``.
+
+    It needs each one called through the module's globals, the frames as the
+    first argument of ``cluster``, the history as the first argument of
+    ``retrieve``, and ``qa_id=`` on ``generate_answer``.
+    """
+
+    @pytest.mark.parametrize("mode", ["fallback", "provider"])
+    def test_every_traced_name_is_called(self, default_session, calls, mode):
+        report = simulate(
+            default_session.manifest,
+            0,
+            EngineConfig(retrieval_mode=mode),
+            frames=default_session.frames,
+            providers=ProviderSet(retriever=NullRetriever() if mode == "provider" else None),
+        )
+        assert report.summary["failed_questions"] == 0
+        assert sorted(calls) == sorted(SIMULATE_CALLS)
+        assert [len(args[0]) for args, _, _ in calls["cluster"]] == sorted(
+            {rec["num_frames"] for rec in report.records}
+        )
+        histories = [args[0] for args, _, _ in calls["retrieve"]]
+        assert all(isinstance(history, DialogueHistory) for history in histories)
+        assert [len(h) for h in histories] == [rec["history_size"] for rec in report.records]
+        assert [kwargs["qa_id"] for _, kwargs, _ in calls["generate_answer"]] == [
+            rec["qa_id"] for rec in report.records
+        ]
+
+
 class TestPrefixReuse:
     """The visual pipeline runs once per visible prefix (finished-segment count)."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        """Counting wrappers around the names ``simulate`` calls."""
-        module = importlib.import_module("streamctx.simulate")
-        seen = defaultdict(list)
-
-        def counting(name):
-            original = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                result = original(*args, **kwargs)
-                seen[name].append((args, kwargs, result))
-                return result
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        for name in ("cluster", "events_from", "embed_event", "embed_question"):
-            counting(name)
-        return seen
 
     @staticmethod
     def _by_prefix(report):
