@@ -86,6 +86,7 @@ from .retrieval import (
 from .simulate import EngineConfig, SimulationReport, evaluate, simulate, validate_report
 from .store import (
     DialoguePath,
+    FrameBlock,
     FrameFeature,
     PathEntry,
     QARecord,
@@ -104,7 +105,7 @@ from .synthetic import SyntheticSpec, build_synthetic, make_synthetic
 __all__ = [
     "__version__",
     # store
-    "FrameFeature", "SegmentMeta", "QARecord", "PathEntry", "DialoguePath",
+    "FrameBlock", "FrameFeature", "SegmentMeta", "QARecord", "PathEntry", "DialoguePath",
     "SessionManifest", "cosine", "mean_pool", "minmax_normalize",
     "save_embeddings", "load_embeddings", "save_manifest", "load_manifest",
     # clustering

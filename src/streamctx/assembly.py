@@ -15,7 +15,7 @@ from typing import Mapping, Sequence, Union
 
 from .compression import VisualUnit, token_count
 from .errors import ProviderError
-from .providers import EchoGenerator, Generator
+from .providers import EchoGenerator, Generator, provider_call
 from .retrieval import HistoryItem
 
 ContextUnit = Union[VisualUnit, HistoryItem]
@@ -167,15 +167,11 @@ def answer(
     """
     payload = render_layout(package)
     gen = generator if generator is not None else EchoGenerator()
-    try:
+    with provider_call(
+        f"generator {getattr(gen, 'provider_id', '?')} failed on a package with "
+        f"{len(package.visual_units)} visual / {len(package.text_units)} text units"
+    ):
         text = gen.generate(payload)
-    except ProviderError:
-        raise
-    except Exception as exc:
-        raise ProviderError(
-            f"generator {getattr(gen, 'provider_id', '?')} failed on a package with "
-            f"{len(package.visual_units)} visual / {len(package.text_units)} text units: {exc}"
-        ) from exc
     if not text:
         raise ProviderError("generator returned an empty answer")
     return AnswerRecord(

@@ -21,7 +21,7 @@ from .errors import InvalidConfigError, StreamContextError
 from .paths import PathConfig, attach_streams, build_relevant_sets, score_all_pairs
 from .retrieval import DialogueHistory, HistoryItem
 from .simulate import EngineConfig, evaluate, load_report_records, retrieval_policy, simulate
-from .store import load_embeddings, load_manifest, save_manifest, with_updated_pool
+from .store import FrameBlock, load_embeddings, load_manifest, save_manifest, with_updated_pool
 from .synthetic import SyntheticSpec, make_synthetic
 
 
@@ -42,7 +42,7 @@ def _emit(args: argparse.Namespace, payload) -> None:
         sys.stdout.write(text)
 
 
-def _cluster_file(args, config: EngineConfig) -> tuple[list, ClusterResult]:
+def _cluster_file(args, config: EngineConfig) -> tuple[FrameBlock, ClusterResult]:
     """The frames of ``--embeddings`` and their clustering (``--k`` or the ratio rule)."""
     frames = load_embeddings(args.embeddings)
     k = args.k if args.k is not None else choose_k(len(frames), config.cluster_ratio)
@@ -60,7 +60,7 @@ def _cmd_compress(args) -> None:
     frames, result = _cluster_file(args, config)
     events = events_from(result, frames)
     embeddings = [embed_event(ev) for ev in events]
-    qvec = embed_question(args.question, dim=frames[0].dim)
+    qvec = embed_question(args.question, dim=frames.dim)
     units = compress_stream(events, embeddings, qvec, config.compression_config())
     _emit(
         args,

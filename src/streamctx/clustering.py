@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidConfigError
-from .store import FrameFeature
+from .store import FrameBlock, FrameFeature
 
 logger = logging.getLogger(__name__)
 
@@ -246,7 +246,7 @@ def _kmeanspp_indices(x: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 
 
 def kmeanspp_init(
-    frames: Sequence[FrameFeature], k: int, rng: np.random.Generator
+    frames: FrameBlock | Sequence[FrameFeature], k: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Seed centroids from k distinct frames.
 
@@ -256,33 +256,20 @@ def kmeanspp_init(
     Returns:
         (feature_centroids (k, P, D), time_centroids (k,), chosen indices (k,))
     """
-    n = len(frames)
+    block = FrameBlock.of(frames)
+    n, p, d = block.features.shape
     if not 1 <= k <= n:
         raise InvalidConfigError(f"k must be in [1, {n}], got {k}")
-    x, t, (p, d) = _flatten(frames)
+    x = block.features.reshape(n, p * d).astype(np.float64)
     idx = _kmeanspp_indices(x, k, rng)
-    return x[idx].reshape(k, p, d).copy(), t[idx].copy(), idx
-
-
-def _flatten(frames: Sequence[FrameFeature]) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
-    if not frames:
-        raise InvalidConfigError("cannot cluster an empty frame list")
-    p, d = frames[0].patches.shape
-    for f in frames:
-        if f.patches.shape != (p, d):
-            raise DimensionMismatchError(
-                f"all frames must share patch shape ({p}, {d}), got {f.patches.shape}"
-            )
-    x = np.stack([f.patches for f in frames]).astype(np.float64).reshape(len(frames), p * d)
-    t = np.asarray([f.timestamp for f in frames], dtype=np.float64)
-    return x, t, (p, d)
+    return x[idx].reshape(k, p, d), block.timestamps[idx], idx
 
 
 IterationHook = Callable[[int, np.ndarray, np.ndarray, np.ndarray, float], None]
 
 
 def cluster(
-    frames: Sequence[FrameFeature],
+    frames: FrameBlock | Sequence[FrameFeature],
     config: ClusterConfig,
     on_iteration: IterationHook | None = None,
 ) -> ClusterResult:
@@ -304,11 +291,13 @@ def cluster(
     after every update with the assignments that produced it; tests use the
     hook to compare against reference runs iteration by iteration.
     """
-    x, t, (p, d) = _flatten(frames)
-    n = x.shape[0]
+    block = FrameBlock.of(frames)
+    n, p, d = block.features.shape
     if config.k > n:
         raise InvalidConfigError(f"k={config.k} exceeds the number of frames ({n})")
 
+    x = block.features.reshape(n, p * d).astype(np.float64)
+    t = block.timestamps
     rng = np.random.default_rng(config.seed)
     idx = _kmeanspp_indices(x, config.k, rng)
     centroids = x[idx].copy()
@@ -360,46 +349,30 @@ class Event:
     """A cluster of frames presented as one temporally ordered unit.
 
     ``event_id`` is the 1-based rank of the event by time centroid;
-    ``cluster_index`` points back into the originating ClusterResult.  The
-    stacked member arrays are built on first use, kept, and read-only, so an
-    event reused across questions stacks its frames once.
+    ``cluster_index`` points back into the originating ClusterResult, and
+    ``frames`` is the block of member frames in time order.  ``pooled`` is
+    built on first use, kept, and read-only, so an event reused across
+    questions pools its frames once.
     """
 
     event_id: int
     cluster_index: int
     frame_indices: tuple[int, ...]
-    frames: tuple[FrameFeature, ...]
+    frames: FrameBlock
     feature_centroid: np.ndarray  # (P, D)
     time_centroid: float
     start_s: float
     end_s: float
 
-    @property
-    def num_frames(self) -> int:
-        return len(self.frames)
-
-    @cached_property
-    def timestamps(self) -> np.ndarray:
-        """Member timestamps, shape (F,)."""
-        return _read_only(np.asarray([f.timestamp for f in self.frames], dtype=np.float64))
-
-    @cached_property
-    def patches(self) -> np.ndarray:
-        """Member patch matrices, shape (F, P, D)."""
-        return _read_only(np.stack([f.patches for f in self.frames]))
-
     @cached_property
     def pooled(self) -> np.ndarray:
         """One mean-pooled token per member frame, shape (F, D)."""
-        return _read_only(self.patches.mean(axis=1))
+        pooled = self.frames.features.mean(axis=1)
+        pooled.setflags(write=False)
+        return pooled
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-def events_from(result: ClusterResult, frames: Sequence[FrameFeature]) -> list[Event]:
+def events_from(result: ClusterResult, frames: FrameBlock | Sequence[FrameFeature]) -> list[Event]:
     """One Event per cluster, members and events both ordered by time.
 
     Members sort by (timestamp, frame index) and events by (time centroid,
@@ -407,36 +380,36 @@ def events_from(result: ClusterResult, frames: Sequence[FrameFeature]) -> list[E
     degenerate runs) is skipped with a warning rather than emitted as an
     empty event.
     """
-    if len(frames) != result.assignments.shape[0]:
+    block = FrameBlock.of(frames)
+    if len(block) != result.assignments.shape[0]:
         raise DimensionMismatchError(
-            f"result covers {result.assignments.shape[0]} frames, got {len(frames)}"
+            f"result covers {result.assignments.shape[0]} frames, got {len(block)}"
         )
-    stamps = np.asarray([f.timestamp for f in frames], dtype=np.float64)
     # lexsort is stable: by cluster, then timestamp, then frame index
-    by_cluster = np.lexsort((stamps, result.assignments))
+    by_cluster = np.lexsort((block.timestamps, result.assignments))
     counts = np.bincount(result.assignments, minlength=result.k)
     groups = np.split(by_cluster, np.cumsum(counts)[:-1])
-    order: list[tuple[float, int, list[int]]] = []
+    order: list[tuple[float, int, np.ndarray]] = []
     for j, members in enumerate(groups):
         if not members.size:
             logger.warning("cluster %d has no members; skipping empty event", j)
             continue
-        order.append((float(result.time_centroids[j]), j, members.tolist()))
+        order.append((float(result.time_centroids[j]), j, members))
     order.sort(key=lambda item: (item[0], item[1]))
 
     events = []
     for rank, (tau, j, members) in enumerate(order, start=1):
-        member_stamps = [frames[i].timestamp for i in members]
+        member_frames = block[members]
         events.append(
             Event(
                 event_id=rank,
                 cluster_index=j,
-                frame_indices=tuple(members),
-                frames=tuple(frames[i] for i in members),
+                frame_indices=tuple(members.tolist()),
+                frames=member_frames,
                 feature_centroid=result.feature_centroids[j],
                 time_centroid=tau,
-                start_s=min(member_stamps),
-                end_s=max(member_stamps),
+                start_s=float(member_frames.timestamps[0]),
+                end_s=float(member_frames.timestamps[-1]),
             )
         )
     return events

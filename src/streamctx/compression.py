@@ -19,7 +19,7 @@ import numpy as np
 
 from .clustering import Event
 from .errors import DimensionMismatchError, InvalidConfigError
-from .providers import SUMMARY_PROMPT, HashingQuestionEmbedder, Summarizer, TextEmbedder
+from .providers import SUMMARY_PROMPT, HashingQuestionEmbedder, Summarizer, TextEmbedder, provider_call
 from .store import mean_pool
 
 logger = logging.getLogger(__name__)
@@ -94,13 +94,14 @@ def embed_event(event: Event, summarizer: Summarizer | None = None) -> EventEmbe
     patch axis together with a fixed summarization prompt, and its returned
     hidden states are mean-pooled over the token axis.  Without a provider
     the embedding is simply the mean over all patch rows of all frames.
-    Provider failures propagate.
+    Provider failures and unpoolable replies surface as ``ProviderError``.
     """
-    stacked = event.patches.reshape(-1, event.patches.shape[-1])
-    if summarizer is not None:
+    stacked = event.frames.features.reshape(-1, event.frames.dim)
+    if summarizer is None:
+        return EventEmbedding(mean_pool(stacked), provenance="fallback-meanpool")
+    with provider_call(f"summarizer failed on event {event.event_id}"):
         states = summarizer.hidden_states(stacked.astype(np.float64), SUMMARY_PROMPT)
         return EventEmbedding(mean_pool(states), provenance=summarizer.provider_id)
-    return EventEmbedding(mean_pool(stacked), provenance="fallback-meanpool")
 
 
 def embed_question(
@@ -112,7 +113,8 @@ def embed_question(
     """Embed the current question with a provider or the hashing fallback.
 
     The fallback needs ``dim`` so its vectors live in the same space as the
-    fallback event embeddings (the raw feature dimension).
+    fallback event embeddings (the raw feature dimension).  Any embedder
+    failure, or a reply that is not a vector, surfaces as a ``ProviderError``.
     """
     if not question or not question.strip():
         raise ValueError("question text must be non-empty")
@@ -120,7 +122,8 @@ def embed_question(
         if dim is None:
             raise InvalidConfigError("dim is required when no embedder provider is given")
         embedder = HashingQuestionEmbedder(dim)
-    return np.asarray(embedder.embed(question), dtype=np.float64).reshape(-1)
+    with provider_call("question embedder failed"):
+        return np.asarray(embedder.embed(question), dtype=np.float64).reshape(-1)
 
 
 def compress_stream(
@@ -163,9 +166,9 @@ def compress_stream(
             VisualUnit(
                 kind=PRESERVED if preserved else POOLED,
                 event_id=event.event_id,
-                timestamps=event.timestamps,
-                data=event.patches if preserved else event.pooled,
-                patch_count=event.frames[0].num_patches,
+                timestamps=event.frames.timestamps,
+                data=event.frames.features if preserved else event.pooled,
+                patch_count=event.frames.num_patches,
                 relevance=score,
                 start_s=event.start_s,
                 time_centroid=event.time_centroid,

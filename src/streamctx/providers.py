@@ -173,6 +173,25 @@ def _require(response: Mapping, key: str):
     return response[key]
 
 
+class provider_call:
+    """A block whose failures are raised as ``ProviderError(f"{what}: {exc}")``.
+
+    Providers are code outside the engine: whatever one raises is a provider
+    failure, which ``simulate`` contains per question, not an engine bug.
+    """
+
+    def __init__(self, what: str):
+        self.what = what
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, Exception) and not isinstance(exc, ProviderError):
+            raise ProviderError(f"{self.what}: {exc}") from exc
+        return False
+
+
 Transport = Callable[[str, dict], Mapping]
 
 #: Seconds an HTTP provider call may block on connect or on one read before
@@ -183,11 +202,9 @@ HTTP_TIMEOUT_S = 60.0
 def _http_post_json(url: str, body: dict) -> Mapping:
     data = json.dumps(body).encode("utf-8")
     req = urllib.request.Request(url, data=data, headers={"Content-Type": "application/json"})
-    try:
+    with provider_call(f"provider request to {url} failed"):
         with urllib.request.urlopen(req, timeout=HTTP_TIMEOUT_S) as resp:
             return json.loads(resp.read().decode("utf-8"))
-    except Exception as exc:  # URLError, TimeoutError, JSONDecodeError, ...
-        raise ProviderError(f"provider request to {url} failed: {exc}") from exc
 
 
 class JsonProviderClient:
@@ -203,12 +220,8 @@ class JsonProviderClient:
         self._transport = transport or _http_post_json
 
     def _call(self, body: dict) -> Mapping:
-        try:
+        with provider_call("provider transport failed"):
             return self._transport(self.endpoint, body)
-        except ProviderError:
-            raise
-        except Exception as exc:
-            raise ProviderError(f"provider transport failed: {exc}") from exc
 
     def hidden_states(self, features: np.ndarray, prompt: str) -> np.ndarray:
         resp = self._call(summarize_request(features, prompt))

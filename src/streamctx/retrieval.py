@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import ProviderError, RetrievalParseError
-from .providers import Retriever
+from .errors import RetrievalParseError
+from .providers import Retriever, provider_call
 from .text import counts_cosine, term_frequencies, tokenize
 
 logger = logging.getLogger(__name__)
@@ -184,12 +184,8 @@ def retrieve(
     request = build_retrieval_request(history, question)
     last_error: RetrievalParseError | None = None
     for attempt in range(2):
-        try:
+        with provider_call("retrieval provider failed"):
             reply = provider.select(request)
-        except ProviderError:
-            raise
-        except Exception as exc:
-            raise ProviderError(f"retrieval provider failed: {exc}") from exc
         try:
             return parse_constrained(reply, valid_ids=history.ids)
         except RetrievalParseError as exc:

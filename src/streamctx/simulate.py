@@ -21,6 +21,7 @@ excluded from the canonical byte form used for determinism comparisons.
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import math
@@ -54,7 +55,7 @@ from .retrieval import (
     retrieve,
     score_retrieval,
 )
-from .store import FrameFeature, SessionManifest, load_session_frames
+from .store import FrameBlock, FrameFeature, SessionManifest, load_session_frames
 
 logger = logging.getLogger(__name__)
 
@@ -163,31 +164,28 @@ class ProviderSet:
 
 
 class _FrameGuard:
-    """Hands out cumulative frames and counts any future-segment access."""
+    """Hands out the finished segments, joined once into one block, and counts
+    any future-frame access."""
 
-    def __init__(self, manifest: SessionManifest, frames: Mapping[int, Sequence[FrameFeature]]):
-        self._windows = [
-            (seg.segment_id, seg.end_s, list(frames[seg.segment_id])) for seg in manifest.segments
-        ]
+    def __init__(self, manifest: SessionManifest, frames: Mapping[int, FrameBlock]):
+        blocks = [FrameBlock.of(frames[seg.segment_id]) for seg in manifest.segments]
+        self._block = FrameBlock.of(blocks)
+        self._ends = [seg.end_s for seg in manifest.segments]
+        self._stops = np.cumsum([0] + [len(b) for b in blocks])
         self.violations = 0
 
-    def frames_until(self, ask_time: float) -> tuple[int, list[FrameFeature]]:
+    def frames_until(self, ask_time: float) -> tuple[int, FrameBlock]:
         """How many segments finished by ask_time, and all of their frames.
 
         Segments still open stay out entirely, even for their elapsed part;
-        any returned frame stamped after ask_time counts as a violation.  The
-        finished set only grows with ask_time, so its size names it.
+        any returned frame stamped after ask_time counts as a violation.
+        Segments are chronological and apart, so the finished ones are a
+        prefix and their count names it.
         """
-        finished = 0
-        out: list[FrameFeature] = []
-        for _segment_id, end_s, seg_frames in self._windows:
-            if end_s <= ask_time:
-                finished += 1
-                out.extend(seg_frames)
-        for f in out:
-            if f.timestamp > ask_time:
-                self.violations += 1
-        return finished, out
+        finished = bisect.bisect_right(self._ends, ask_time)
+        visible = self._block[: self._stops[finished]]
+        self.violations += int(np.count_nonzero(visible.timestamps > ask_time))
+        return finished, visible
 
 
 def retrieval_policy(
@@ -252,18 +250,20 @@ def simulate(
     config: EngineConfig = EngineConfig(),
     *,
     base_dir=None,
-    frames: Mapping[int, Sequence[FrameFeature]] | None = None,
+    frames: Mapping[int, FrameBlock | Sequence[FrameFeature]] | None = None,
     providers: ProviderSet | None = None,
 ) -> SimulationReport:
     """Replay one dialogue stream end to end.
 
     Frames come either from ``frames`` directly or from the manifest's
-    embedding files resolved against ``base_dir``.  An error inside one
-    question's pipeline aborts that question (recorded with its error kind)
-    and the stream moves on; the dialogue history then carries the dataset's
-    gold answer so later questions still see the turn.  The clustering,
-    events and event embeddings of the latest visible prefix are kept for the
-    next question, and only a question that completes stores them.
+    embedding files resolved against ``base_dir``; segments that disagree on
+    (patches, dim) raise before any question.  A ``StreamContextError``
+    inside one question's pipeline aborts that question (recorded with its
+    error kind) and the stream moves on; the dialogue history then carries
+    the dataset's gold answer so later questions still see the turn.  Any
+    other exception is a bug and propagates.  The clustering, events and
+    event embeddings of the latest visible prefix are kept for the next
+    question, and only a question that completes stores them.
     """
     if not 0 <= stream_index < len(manifest.dialogue_streams):
         raise InvalidConfigError(
@@ -302,7 +302,7 @@ def simulate(
         generated_answer: str | None = None
         try:
             finished, visible = guard.frames_until(entry.ask_time)
-            if not visible:
+            if not len(visible):
                 raise StreamContextError(
                     f"no finished segment before ask_time {entry.ask_time}"
                 )
@@ -315,7 +315,7 @@ def simulate(
                 events = events_from(result, visible)
                 embeddings = [embed_event(ev, prov.summarizer) for ev in events]
             if question_embedder is None:
-                question_embedder = HashingQuestionEmbedder(visible[0].dim)
+                question_embedder = HashingQuestionEmbedder(visible.dim)
             qvec = embed_question(qa.question, question_embedder)
             units = compress_stream(events, embeddings, qvec, compression)
             retrieval = select(history, qa.question, entry.gold_relevant)
@@ -348,7 +348,7 @@ def simulate(
                 }
             )
             last = (finished, result, events, embeddings)
-        except Exception as exc:
+        except StreamContextError as exc:
             logger.exception("question %d failed; continuing the stream", qa.qa_id)
             record["error"] = {"type": type(exc).__name__, "message": str(exc)}
         record["wall_ms"] = (time.perf_counter() - started) * 1000.0

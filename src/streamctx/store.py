@@ -63,40 +63,97 @@ QA_TIERS: Mapping[str, str] = {
 # core types
 
 
-@dataclass(frozen=True, eq=False)
-class FrameFeature:
-    """One sampled frame: a (patches x dim) float32 matrix plus its timestamp."""
+class FrameBlock:
+    """N frames as read-only columns: ``timestamps`` (N,) float64 and
+    ``features`` (N, P, D) float32.
 
-    patches: np.ndarray
-    timestamp: float
+    The constructor is the one place the frame rules are checked: P, D >= 1,
+    one timestamp per frame, finite values and timestamps >= 0.  Time order
+    is a rule of the file format, not of a block: clustering takes frames in
+    any order.  A slice or an index array gives a block over the same frames,
+    not checked again; an int gives one ``FrameFeature``.
+    """
 
-    def __post_init__(self):
-        arr = np.asarray(self.patches, dtype=np.float32)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+    __slots__ = ("timestamps", "features")
+
+    def __init__(self, timestamps, features):
+        feats = np.ascontiguousarray(features, dtype=np.float32)
+        stamps = np.ascontiguousarray(timestamps, dtype=np.float64)
+        if feats.ndim != 3 or min(feats.shape[1:]) < 1 or stamps.shape != feats.shape[:1]:
             raise DimensionMismatchError(
-                f"frame features must be a 2-D (patches, dim) matrix, got shape {arr.shape}"
+                f"frames need (N, patches >= 1, dim >= 1) features and (N,) timestamps, "
+                f"got {feats.shape} and {stamps.shape}"
             )
-        if not np.isfinite(arr).all():
+        if not np.isfinite(feats).all():
             raise NonFiniteValueError("frame features contain NaN or infinite values")
-        ts = float(self.timestamp)
-        if not np.isfinite(ts) or ts < 0:
-            raise NonFiniteValueError(f"frame timestamp must be finite and >= 0, got {ts}")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "patches", arr)
-        object.__setattr__(self, "timestamp", ts)
+        if not np.isfinite(stamps).all() or (stamps < 0).any():
+            raise NonFiniteValueError("frame timestamps must be finite and >= 0")
+        self._hold(stamps, feats)
+
+    def _hold(self, stamps: np.ndarray, feats: np.ndarray) -> "FrameBlock":
+        for name, arr in (("timestamps", stamps), ("features", feats)):
+            view = arr.view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
+        return self
+
+    @staticmethod
+    def _trusted(stamps: np.ndarray, feats: np.ndarray) -> "FrameBlock":
+        """A block over arrays taken from checked blocks, not checked again."""
+        return object.__new__(FrameBlock)._hold(stamps, feats)
+
+    @staticmethod
+    def of(frames) -> "FrameBlock":
+        """``frames`` as one block: a block as it is, or a sequence of frames
+        or blocks joined in order, which must share one (P, D)."""
+        if isinstance(frames, FrameBlock):
+            return frames
+        parts = list(frames)
+        shapes = sorted({part.features.shape[1:] for part in parts})
+        if len(shapes) != 1:
+            raise DimensionMismatchError(f"frames must share one (patches, dim), got {shapes}")
+        stamps = np.concatenate([part.timestamps for part in parts])
+        return FrameBlock._trusted(stamps, np.concatenate([part.features for part in parts]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __len__(self) -> int:
+        return self.features.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return FrameFeature(self.features[index], self.timestamps[index])
+        return self._trusted(self.timestamps[index], self.features[index])
 
     @property
     def num_patches(self) -> int:
-        return self.patches.shape[0]
+        return self.features.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.patches.shape[1]
+        return self.features.shape[2]
+
+
+class FrameFeature(FrameBlock):
+    """One frame, a (patches, dim) float32 matrix and its timestamp, as a one-frame block."""
+
+    __slots__ = ()
+
+    def __init__(self, patches, timestamp: float):
+        super().__init__([timestamp], np.asarray(patches, dtype=np.float32)[None])
+
+    @property
+    def patches(self) -> np.ndarray:
+        return self.features[0]
+
+    @property
+    def timestamp(self) -> float:
+        return float(self.timestamps[0])
 
     def flat(self) -> np.ndarray:
         """The patch matrix flattened row-major to a (patches * dim,) vector."""
-        return self.patches.reshape(-1)
+        return self.features.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -134,6 +191,8 @@ class QARecord:
     relevance_scores: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not (isinstance(self.question, str) and self.question.strip()):
+            raise ManifestError(f"qa {self.qa_id}: question must be non-empty text")
         if self.qa_type not in QA_TIERS:
             raise ManifestError(
                 f"qa {self.qa_id}: unknown qa_type {self.qa_type!r}; "
@@ -305,32 +364,26 @@ def minmax_normalize(values) -> np.ndarray:
 # binary embedding files
 
 
-def save_embeddings(path, frames: Sequence[FrameFeature]) -> None:
+def save_embeddings(path, frames: FrameBlock | Sequence[FrameFeature]) -> None:
     """Write frames to ``path`` in the binary format documented above.
 
-    All frames must share one (patches, dim) shape and carry non-decreasing
-    timestamps; the writer enforces what the reader would reject.
+    Timestamps must be non-decreasing: the writer rejects what the reader would.
     """
-    if not frames:
-        raise ValueError("cannot save an empty frame list (patch shape would be undefined)")
-    p, d = frames[0].patches.shape
-    for f in frames:
-        if f.patches.shape != (p, d):
-            raise DimensionMismatchError(
-                f"all frames must share shape ({p}, {d}), got {f.patches.shape}"
-            )
-    stamps = np.array([f.timestamp for f in frames], dtype="<f8")
-    if np.any(np.diff(stamps) < 0):
+    block = FrameBlock.of(frames)
+    if np.any(np.diff(block.timestamps) < 0):
         raise TimestampOrderError("frame timestamps must be non-decreasing")
-    feats = np.stack([f.patches for f in frames]).astype("<f4", copy=False)
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(frames), p, d))
-        fh.write(stamps.tobytes())
-        fh.write(feats.tobytes())
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, *block.features.shape))
+        fh.write(block.timestamps.astype("<f8", copy=False).tobytes())
+        fh.write(block.features.astype("<f4", copy=False).tobytes())
 
 
-def load_embeddings(path) -> list[FrameFeature]:
-    """Read a frame-embedding file, raising a distinct error per defect kind."""
+def load_embeddings(path) -> FrameBlock:
+    """Read a frame-embedding file, raising a distinct error per defect kind.
+
+    The block's features view the file's bytes; only the timestamps, which
+    sit at an offset no float64 is aligned to, are copied.
+    """
     data = Path(path).read_bytes()
     if len(data) < 4 or data[:4] != MAGIC:
         if len(data) >= 4:
@@ -354,14 +407,11 @@ def load_embeddings(path) -> list[FrameFeature]:
         raise EmbeddingFormatError(
             f"{len(data) - expected} trailing bytes after the declared payload"
         )
-    stamps = np.frombuffer(data, dtype="<f8", count=n, offset=_HEADER.size)
+    stamps = np.frombuffer(data, dtype="<f8", count=n, offset=_HEADER.size).astype(np.float64)
     feats = np.frombuffer(data, dtype="<f4", count=n * p * d, offset=_HEADER.size + 8 * n)
-    if not np.isfinite(stamps).all() or not np.isfinite(feats).all():
-        raise NonFiniteValueError("embedding file contains NaN or infinite values")
     if np.any(np.diff(stamps) < 0):
         raise TimestampOrderError("frame timestamps decrease within the file")
-    feats = feats.reshape(n, p, d)
-    return [FrameFeature(feats[i].copy(), float(stamps[i])) for i in range(n)]
+    return FrameBlock(stamps, feats.reshape(n, p, d))
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +522,7 @@ def load_manifest(path) -> SessionManifest:
     return manifest_from_dict(obj)
 
 
-def load_session_frames(
-    manifest: SessionManifest, base_dir
-) -> dict[int, list[FrameFeature]]:
+def load_session_frames(manifest: SessionManifest, base_dir) -> dict[int, FrameBlock]:
     """Load every segment's frames, resolving refs relative to ``base_dir``.
 
     Frames must stay within their segment's [start_s, end_s] window and
@@ -482,14 +530,14 @@ def load_session_frames(
     is itself chronological.
     """
     base = Path(base_dir)
-    out: dict[int, list[FrameFeature]] = {}
+    out: dict[int, FrameBlock] = {}
     for seg in manifest.segments:
-        frames = load_embeddings(base / seg.embedding_ref)
-        for f in frames:
-            if not (seg.start_s <= f.timestamp <= seg.end_s):
-                raise ManifestError(
-                    f"segment {seg.segment_id}: frame at t={f.timestamp} falls outside "
-                    f"[{seg.start_s}, {seg.end_s}]"
-                )
-        out[seg.segment_id] = frames
+        block = load_embeddings(base / seg.embedding_ref)
+        outside = (block.timestamps < seg.start_s) | (block.timestamps > seg.end_s)
+        if outside.any():
+            raise ManifestError(
+                f"segment {seg.segment_id}: frame at t={block.timestamps[outside.argmax()]} "
+                f"falls outside [{seg.start_s}, {seg.end_s}]"
+            )
+        out[seg.segment_id] = block
     return out

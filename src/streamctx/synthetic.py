@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InvalidConfigError
 from .paths import PathConfig, generate_paths
 from .store import (
-    FrameFeature,
+    FrameBlock,
     QARecord,
     SegmentMeta,
     SessionManifest,
@@ -88,15 +88,9 @@ class SyntheticSession:
     """A generated session plus the ground truth it was built from."""
 
     manifest: SessionManifest
-    frames: dict[int, list[FrameFeature]]
+    frames: dict[int, FrameBlock]
     planted_events: list[int]  # per frame, chronological across segments
     out_dir: Path | None = None
-
-    def all_frames(self) -> list[FrameFeature]:
-        out = []
-        for seg in self.manifest.segments:
-            out.extend(self.frames[seg.segment_id])
-        return out
 
 
 def _noun(qa_id: int) -> str:
@@ -181,7 +175,7 @@ def build_synthetic(spec: SyntheticSpec = SyntheticSpec()) -> SyntheticSession:
     rng = np.random.default_rng(spec.seed)
 
     segments = []
-    frames: dict[int, list[FrameFeature]] = {}
+    frames: dict[int, FrameBlock] = {}
     planted: list[int] = []
     event_label = 0
     for s in range(1, spec.segments + 1):
@@ -194,14 +188,14 @@ def build_synthetic(spec: SyntheticSpec = SyntheticSpec()) -> SyntheticSession:
             rng.normal(0.0, _CENTER_SCALE, size=(spec.patches, spec.dim))
             for _ in range(spec.events_per_segment)
         ]
-        seg_frames = []
+        feats, stamps = [], []
         for i in range(spec.frames_per_segment):
             which = min(int(i / block), spec.events_per_segment - 1)
-            feats = centers[which] + rng.normal(0.0, _NOISE_SCALE, size=(spec.patches, spec.dim))
-            seg_frames.append(FrameFeature(feats.astype(np.float32), start + i * step))
+            feats.append(centers[which] + rng.normal(0.0, _NOISE_SCALE, size=(spec.patches, spec.dim)))
+            stamps.append(start + i * step)
             planted.append(event_label + which)
         event_label += spec.events_per_segment
-        frames[s] = seg_frames
+        frames[s] = FrameBlock(stamps, np.asarray(feats, dtype=np.float32))
         segments.append(
             SegmentMeta(
                 segment_id=s,

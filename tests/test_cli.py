@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from streamctx.cli import main
-from streamctx.store import load_manifest
+from streamctx.store import FrameFeature, load_manifest, save_embeddings
+from streamctx.synthetic import SyntheticSpec, make_synthetic
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +225,17 @@ class TestSimulateAndEval:
         assert summary["config"]["theta"] == 0.9
         assert summary["config"]["seed"] == 5
 
+    def test_segments_that_disagree_on_shape_are_one_json_error_line(self, capsys, tmp_path):
+        session = make_synthetic(SyntheticSpec(), out_dir=tmp_path)
+        last = session.manifest.segments[-1]
+        frames = [
+            FrameFeature(np.ones((2, 9), dtype=np.float32), last.start_s + i) for i in range(10)
+        ]
+        save_embeddings(tmp_path / last.embedding_ref, frames)
+        code, out, err = run(capsys, "simulate", "--manifest", str(tmp_path / "manifest.json"))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "DimensionMismatchError"
 
     @pytest.mark.parametrize(
         "bad",

@@ -404,7 +404,7 @@ class TestEvents:
         first = events[0]
         assert (first.start_s, first.end_s) == (3.0, 5.0)
         assert first.time_centroid == 4.0
-        assert first.num_frames == 2
+        assert len(first.frames) == 2
         assert np.array_equal(first.feature_centroid, [[4.0, 5.0]])
 
     def test_frame_count_mismatch_rejected(self):

@@ -17,21 +17,20 @@ from streamctx.compression import (
 )
 from streamctx.errors import DimensionMismatchError, InvalidConfigError, ProviderError
 from streamctx.providers import SUMMARY_PROMPT, HashingQuestionEmbedder
-from streamctx.store import FrameFeature, cosine
+from streamctx.store import FrameBlock, FrameFeature, cosine
 
 
 def make_event(event_id, frames):
-    stamps = [f.timestamp for f in frames]
-    x = np.stack([np.asarray(f.patches, dtype=np.float64) for f in frames])
+    block = FrameBlock.of(frames)
     return Event(
         event_id=event_id,
         cluster_index=event_id - 1,
-        frame_indices=tuple(range(len(frames))),
-        frames=tuple(frames),
-        feature_centroid=x.mean(axis=0),
-        time_centroid=float(np.mean(stamps)),
-        start_s=min(stamps),
-        end_s=max(stamps),
+        frame_indices=tuple(range(len(block))),
+        frames=block,
+        feature_centroid=block.features.astype(np.float64).mean(axis=0),
+        time_centroid=float(block.timestamps.mean()),
+        start_s=float(block.timestamps.min()),
+        end_s=float(block.timestamps.max()),
     )
 
 

@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from streamctx.errors import InvalidConfigError, ProviderError
+from streamctx.errors import DimensionMismatchError, InvalidConfigError, ProviderError
 from streamctx.providers import EchoGenerator, HashingQuestionEmbedder
 from streamctx.retrieval import DialogueHistory, RetrievalMetrics, micro_metrics
 from streamctx.simulate import (
@@ -22,7 +22,7 @@ from streamctx.simulate import (
     summarize_records,
     validate_report,
 )
-from streamctx.store import DialoguePath, FrameFeature, PathEntry
+from streamctx.store import DialoguePath, FrameFeature, PathEntry, load_session_frames
 from streamctx.synthetic import SyntheticSpec, make_synthetic
 
 
@@ -320,6 +320,48 @@ class TestSimulateFailureModes:
         # and the dialogue history kept growing on gold answers
         assert [r["history_size"] for r in report.records] == list(range(20))
 
+    @pytest.mark.parametrize("role", ["summarizer", "embedder"])
+    def test_summarizer_or_embedder_failure_is_a_provider_error(self, default_session, role):
+        class Boom:
+            provider_id = "boom"
+
+            def hidden_states(self, features, prompt):
+                raise RuntimeError("no model")
+
+            def embed(self, text):
+                raise RuntimeError("no model")
+
+        report = simulate(
+            default_session.manifest,
+            0,
+            EngineConfig(),
+            frames=default_session.frames,
+            providers=ProviderSet(**{role: Boom()}),
+        )
+        assert report.summary["failed_questions"] == 20
+        assert {r["error"]["type"] for r in report.records} == {"ProviderError"}
+
+    def test_a_bug_in_a_stage_crashes_the_run(self, default_session, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not a bad input")
+
+        module = importlib.import_module("streamctx.simulate")
+        monkeypatch.setattr(module, "compress_stream", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            simulate(default_session.manifest, 0, EngineConfig(), frames=default_session.frames)
+
+    def test_segments_that_disagree_on_shape_fail_before_any_question(
+        self, default_session, calls
+    ):
+        last = default_session.manifest.segments[-1]
+        frames = dict(default_session.frames)
+        frames[last.segment_id] = [
+            FrameFeature(np.ones((2, 9), dtype=np.float32), last.start_s + i) for i in range(10)
+        ]
+        with pytest.raises(DimensionMismatchError):
+            simulate(default_session.manifest, 0, EngineConfig(), frames=frames)
+        assert not calls  # no question started
+
     def test_question_before_any_finished_segment(self, default_session):
         manifest = replace(
             default_session.manifest,
@@ -542,13 +584,13 @@ class TestPrefixReuse:
         simulate(default_session.manifest, 0, EngineConfig(), frames=default_session.frames)
         for _, _, events in calls["events_from"]:
             for event in events:
-                for arr in (event.timestamps, event.patches, event.pooled):
+                for arr in (event.frames.timestamps, event.frames.features, event.pooled):
                     assert arr.flags.writeable is False
                     with pytest.raises(ValueError):
                         arr[0] = 0
-                assert event.patches is event.patches  # built once, then kept
-                assert event.patches.shape == (event.num_frames, 2, 8)
-                assert event.pooled.shape == (event.num_frames, 8)
+                assert event.pooled is event.pooled  # built once, then kept
+                assert event.frames.features.shape == (len(event.frames), 2, 8)
+                assert event.pooled.shape == (len(event.frames), 8)
 
     def test_one_question_embedder_per_run(self, default_session, calls):
         report = simulate(
@@ -562,3 +604,19 @@ class TestPrefixReuse:
             fresh = HashingQuestionEmbedder(8).embed(args[0])
             assert np.array_equal(vec, fresh)
         assert report.summary["failed_questions"] == 0
+
+
+def test_replay_from_disk_builds_no_per_frame_objects(tmp_path, monkeypatch):
+    session = make_synthetic(SyntheticSpec(), out_dir=tmp_path)
+    built = []
+    original = FrameFeature.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FrameFeature, "__init__", counting)
+    frames = load_session_frames(session.manifest, tmp_path)
+    report = simulate(session.manifest, 0, EngineConfig(), frames=frames)
+    assert report.summary["failed_questions"] == 0
+    assert len(built) == 0

@@ -15,6 +15,7 @@ from streamctx.errors import (
     VersionMismatchError,
 )
 from streamctx.store import (
+    FrameBlock,
     FrameFeature,
     PathEntry,
     DialoguePath,
@@ -60,6 +61,73 @@ class TestFrameFeature:
             FrameFeature([[1.0]], float("inf"))
         with pytest.raises(NonFiniteValueError):
             FrameFeature([[1.0]], -0.5)
+
+
+class TestFrameBlock:
+    @pytest.mark.parametrize(
+        "stamps, feats, error",
+        [
+            ([0.0], np.zeros((1, 2)), DimensionMismatchError),
+            ([0.0], np.zeros((1, 0, 2)), DimensionMismatchError),
+            ([0.0], np.zeros((1, 2, 0)), DimensionMismatchError),
+            ([0.0, 1.0], np.zeros((1, 2, 2)), DimensionMismatchError),
+            ([[0.0]], np.zeros((1, 2, 2)), DimensionMismatchError),
+            ([0.0], np.full((1, 1, 1), np.nan), NonFiniteValueError),
+            ([np.inf], np.zeros((1, 1, 1)), NonFiniteValueError),
+            ([-1.0], np.zeros((1, 1, 1)), NonFiniteValueError),
+        ],
+    )
+    def test_constructor_checks_the_frame_rules(self, stamps, feats, error):
+        with pytest.raises(error):
+            FrameBlock(stamps, feats)
+
+    def test_columns_are_read_only(self):
+        block = FrameBlock([0.0, 1.0], np.zeros((2, 1, 3)))
+        assert block.features.dtype == np.float32 and block.timestamps.dtype == np.float64
+        with pytest.raises(ValueError):
+            block.features[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            block.timestamps[0] = 1.0
+        with pytest.raises(AttributeError):
+            block.features = np.ones((2, 1, 3), dtype=np.float32)
+
+    def test_slices_and_index_arrays_are_not_checked_again(self, monkeypatch):
+        block = FrameBlock([3.0, 1.0, 2.0], np.arange(6, dtype=np.float32).reshape(3, 1, 2))
+
+        def refuse(self, *args):
+            raise AssertionError("frames were checked again")
+
+        monkeypatch.setattr(FrameBlock, "__init__", refuse)
+        head = block[:2]
+        picked = block[np.asarray([2, 0])]
+        assert type(head) is type(picked) is FrameBlock
+        assert head.timestamps.tolist() == [3.0, 1.0] and len(head) == 2
+        assert picked.features[:, 0].tolist() == [[4.0, 5.0], [0.0, 1.0]]
+        assert not picked.features.flags.writeable
+
+    def test_an_int_gives_one_frame(self):
+        block = FrameBlock([0.5, 1.5], np.arange(4, dtype=np.float32).reshape(2, 1, 2))
+        frame = block[-1]
+        assert isinstance(frame, FrameFeature)
+        assert frame.timestamp == 1.5 and frame.patches.tolist() == [[2.0, 3.0]]
+        with pytest.raises(IndexError):
+            block[2]
+
+    def test_of_joins_frames_and_blocks_in_order(self):
+        frames = make_frames(3, patches=2, dim=3)
+        block = FrameBlock.of(frames)
+        assert FrameBlock.of(block) is block
+        joined = FrameBlock.of([block, block[:1]])
+        assert joined.timestamps.tolist() == [0.0, 1.0, 2.0, 0.0]
+        expected = np.stack([f.patches for f in frames + frames[:1]])
+        assert joined.features.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "frames", [[], [FrameFeature([[1.0, 2.0]], 0.0), FrameFeature([[1.0]], 1.0)]]
+    )
+    def test_of_needs_one_shape(self, frames):
+        with pytest.raises(DimensionMismatchError):
+            FrameBlock.of(frames)
 
 
 class TestCosine:
@@ -219,8 +287,59 @@ class TestEmbeddingFiles:
         d = FrameFeature([[1.0, 2.0]], 1.0)
         with pytest.raises(TimestampOrderError):
             save_embeddings(tmp_path / "y.bin", [c, d])
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatchError):
             save_embeddings(tmp_path / "z.bin", [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 4),
+        p=st.integers(1, 3),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        mutation=st.one_of(
+            st.tuples(st.just("truncate"), st.floats(0.0, 1.0, exclude_max=True)),
+            st.tuples(
+                st.just("flip"),
+                st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 255)),
+                         min_size=1, max_size=3),
+            ),
+            st.tuples(st.just("extend"), st.binary(min_size=1, max_size=16)),
+        ),
+    )
+    def test_mutated_files_raise_only_format_errors(
+        self, tmp_path_factory, n, p, d, seed, mutation
+    ):
+        rng = np.random.default_rng(seed)
+        stamps = np.cumsum(rng.uniform(0, 3, size=n))
+        block = FrameBlock(stamps, rng.normal(scale=100, size=(n, p, d)))
+        path = tmp_path_factory.mktemp("fuzz") / "f.bin"
+        save_embeddings(path, block)
+        raw = path.read_bytes()
+
+        loaded = load_embeddings(path)
+        assert loaded.timestamps.tobytes() == block.timestamps.tobytes()
+        assert loaded.features.tobytes() == block.features.tobytes()
+        assert not loaded.timestamps.flags.writeable and not loaded.features.flags.writeable
+        base = loaded.features
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, bytes)  # a view of the file's bytes, not a copy
+
+        kind, arg = mutation
+        if kind == "truncate":
+            mutated = raw[: int(arg * len(raw))]
+        elif kind == "flip":
+            mutated = bytearray(raw)
+            for where, mask in arg:
+                mutated[int(where * len(raw))] ^= mask
+        else:
+            mutated = raw + arg
+        path.write_bytes(bytes(mutated))
+        try:
+            result = load_embeddings(path)
+        except EmbeddingFormatError:
+            return
+        assert kind == "flip" and isinstance(result, FrameBlock)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -301,6 +420,11 @@ class TestManifest:
     def test_unknown_qa_type_rejected(self):
         with pytest.raises(ManifestError):
             QARecord(1, 1, "trivia", "q", "a")
+
+    @pytest.mark.parametrize("question", ["", "   ", 5])
+    def test_question_must_be_non_empty_text(self, question):
+        with pytest.raises(ManifestError):
+            QARecord(1, 1, "attributes", question, "a")
 
     def test_score_out_of_range_rejected(self):
         with pytest.raises(ManifestError):

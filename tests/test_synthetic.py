@@ -37,9 +37,9 @@ class TestBuildSynthetic:
             assert all(seg.start_s <= t < seg.end_s for t in stamps)
 
     def test_planted_labels_cover_each_frame(self, default_session):
-        frames = default_session.all_frames()
+        num_frames = sum(len(block) for block in default_session.frames.values())
         labels = default_session.planted_events
-        assert len(labels) == len(frames) == 50
+        assert len(labels) == num_frames == 50
         assert sorted(set(labels)) == list(range(10))  # 5 segments x 2 events
 
     def test_planted_events_are_recoverable_by_clustering(self, default_session):
@@ -114,7 +114,7 @@ class TestBuildSynthetic:
     def test_default_k_suggestion_matches_plant(self, default_session):
         # 50 frames at the default ratio suggest 3 clusters per full stream;
         # per segment (10 frames) the plant uses 2 events, chosen explicitly
-        assert choose_k(len(default_session.all_frames())) == 3
+        assert choose_k(sum(len(block) for block in default_session.frames.values())) == 3
 
 
 class TestMakeSynthetic:
