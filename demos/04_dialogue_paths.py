@@ -6,6 +6,8 @@ score of how well the path so far supports them.  Every entry carries its
 gold relevant set -- the earlier turns a model should retrieve.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from streamctx import (
@@ -17,7 +19,6 @@ from streamctx import (
     selection_probabilities,
 )
 from streamctx.paths import _rs_table
-from streamctx.store import with_updated_pool
 from streamctx.synthetic import SyntheticSpec, build_synthetic
 
 session = build_synthetic(SyntheticSpec(segments=3, seed=4)).manifest
@@ -30,7 +31,7 @@ for qa in session.qa_pool:
 # threshold (strictly above 4) into relevant sets; the session's planted
 # annotation gets replaced so the paths below sample from what we just built
 pool = build_relevant_sets(score_all_pairs(session.qa_pool))
-session = with_updated_pool(session, pool)
+session = replace(session, qa_pool=pool)
 with_deps = [qa for qa in pool if qa.relevant_ids]
 print(f"\n{len(with_deps)} questions depend on earlier ones after thresholding:")
 for qa in with_deps:

@@ -18,10 +18,10 @@ from . import __version__
 from .clustering import ClusterResult, choose_k, cluster, events_from
 from .compression import compress_stream, compression_ratio, embed_event, embed_question, token_count
 from .errors import InvalidConfigError, StreamContextError
-from .paths import PathConfig, attach_streams, build_relevant_sets, score_all_pairs
+from .paths import RELEVANCE_THRESHOLD, PathConfig, attach_streams, build_relevant_sets, score_all_pairs
 from .retrieval import DialogueHistory, HistoryItem
 from .simulate import EngineConfig, evaluate, load_report_records, retrieval_policy, simulate
-from .store import FrameBlock, load_embeddings, load_manifest, save_manifest, with_updated_pool
+from .store import FrameBlock, load_embeddings, load_manifest, save_manifest
 from .synthetic import SyntheticSpec, make_synthetic
 
 
@@ -40,6 +40,11 @@ def _emit(args: argparse.Namespace, payload) -> None:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _say(payload) -> None:
+    """``payload`` as one JSON line on stdout."""
+    sys.stdout.write(json.dumps(payload) + "\n")
 
 
 def _cluster_file(args, config: EngineConfig) -> tuple[FrameBlock, ClusterResult]:
@@ -121,14 +126,11 @@ def _cmd_retrieve(args) -> None:
 
 def _cmd_score_relevance(args) -> None:
     manifest = load_manifest(args.manifest)
-    pool = score_all_pairs(manifest.qa_pool)
-    pool = build_relevant_sets(pool, threshold=args.threshold)
-    updated = with_updated_pool(manifest, pool)
+    pool = build_relevant_sets(score_all_pairs(manifest.qa_pool), threshold=args.threshold)
+    updated = dataclasses.replace(manifest, qa_pool=pool)
     save_manifest(args.out or args.manifest, updated)
     scored = sum(len(qa.relevance_scores) for qa in pool)
-    sys.stdout.write(
-        json.dumps({"pairs_scored": scored, "threshold": args.threshold}) + "\n"
-    )
+    _say({"pairs_scored": scored, "threshold": args.threshold})
 
 
 def _cmd_build_paths(args) -> None:
@@ -143,15 +145,8 @@ def _cmd_build_paths(args) -> None:
     )
     updated = attach_streams(manifest, path_config)
     save_manifest(args.out or args.manifest, updated)
-    sys.stdout.write(
-        json.dumps(
-            {
-                "paths": len(updated.dialogue_streams),
-                "lengths": [len(p) for p in updated.dialogue_streams],
-            }
-        )
-        + "\n"
-    )
+    streams = updated.dialogue_streams
+    _say({"paths": len(streams), "lengths": [len(p) for p in streams]})
 
 
 def _cmd_simulate(args) -> None:
@@ -161,7 +156,7 @@ def _cmd_simulate(args) -> None:
     report = simulate(manifest, args.stream, config, base_dir=manifest_path.parent)
     if args.out:
         report.write(args.out)
-        sys.stdout.write(json.dumps(report.summary) + "\n")
+        _say(report.summary)
     else:
         sys.stdout.write("\n".join(report.lines()) + "\n")
 
@@ -171,31 +166,25 @@ def _cmd_eval(args) -> None:
     _emit(args, evaluate(record_sets))
 
 
+#: The ``SyntheticSpec`` fields ``make-synthetic`` sets by flag.
+_SPEC_FLAGS = (
+    "segments", "frames_per_segment", "patches", "dim", "events_per_segment",
+    "basic_per_segment", "streaming_per_segment", "global_count", "num_streams",
+)
+
+
 def _cmd_make_synthetic(args) -> None:
     spec = SyntheticSpec(
-        segments=args.segments,
-        frames_per_segment=args.frames_per_segment,
-        patches=args.patches,
-        dim=args.dim,
-        events_per_segment=args.events_per_segment,
-        basic_per_segment=args.basic_per_segment,
-        streaming_per_segment=args.streaming_per_segment,
-        global_count=args.global_count,
-        num_streams=args.num_streams,
-        seed=args.seed if args.seed is not None else 0,
+        **{name: getattr(args, name) for name in _SPEC_FLAGS},
+        seed=SyntheticSpec.seed if args.seed is None else args.seed,
     )
     session = make_synthetic(spec, args.out_dir)
-    sys.stdout.write(
-        json.dumps(
-            {
-                "out_dir": str(session.out_dir),
-                "segments": len(session.manifest.segments),
-                "qa_pool": len(session.manifest.qa_pool),
-                "streams": len(session.manifest.dialogue_streams),
-            }
-        )
-        + "\n"
-    )
+    _say({
+        "out_dir": str(session.out_dir),
+        "segments": len(session.manifest.segments),
+        "qa_pool": len(session.manifest.qa_pool),
+        "streams": len(session.manifest.dialogue_streams),
+    })
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,14 +224,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="fill relevance scores and relevant sets in a manifest",
     )
     p.add_argument("--manifest", required=True)
-    p.add_argument("--threshold", type=float, default=4.0)
+    p.add_argument("--threshold", type=float, default=RELEVANCE_THRESHOLD)
     p.set_defaults(func=_cmd_score_relevance)
 
     p = sub.add_parser("build-paths", parents=[common], help="sample dialogue streams")
     p.add_argument("--manifest", required=True)
     p.add_argument("--num-paths", type=int, default=None, dest="num_paths")
     p.add_argument("--alpha-len", type=float, default=None, dest="alpha_len")
-    p.add_argument("--complex-per-segment", type=int, default=2, dest="complex_per_segment")
+    p.add_argument(
+        "--complex-per-segment", type=int, default=PathConfig.complex_per_segment,
+        dest="complex_per_segment",
+    )
     p.add_argument("--force-include-global", action="store_true", dest="force_include_global")
     p.set_defaults(func=_cmd_build_paths)
 
@@ -257,15 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-synthetic", parents=[common], help="generate a synthetic session")
     p.add_argument("--out-dir", required=True, dest="out_dir")
-    p.add_argument("--segments", type=int, default=5)
-    p.add_argument("--frames-per-segment", type=int, default=10, dest="frames_per_segment")
-    p.add_argument("--patches", type=int, default=2)
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--events-per-segment", type=int, default=2, dest="events_per_segment")
-    p.add_argument("--basic-per-segment", type=int, default=2, dest="basic_per_segment")
-    p.add_argument("--streaming-per-segment", type=int, default=2, dest="streaming_per_segment")
-    p.add_argument("--global-count", type=int, default=0, dest="global_count")
-    p.add_argument("--num-streams", type=int, default=1, dest="num_streams")
+    for name in _SPEC_FLAGS:
+        p.add_argument(
+            "--" + name.replace("_", "-"), type=int, default=getattr(SyntheticSpec, name), dest=name
+        )
     p.set_defaults(func=_cmd_make_synthetic)
 
     return parser

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import Event
-from .errors import DimensionMismatchError, InvalidConfigError
+from .errors import DimensionMismatchError, InvalidConfigError, ProviderError
 from .providers import SUMMARY_PROMPT, HashingQuestionEmbedder, Summarizer, TextEmbedder, provider_call
 from .store import mean_pool
 
@@ -94,14 +94,16 @@ def embed_event(event: Event, summarizer: Summarizer | None = None) -> EventEmbe
     patch axis together with a fixed summarization prompt, and its returned
     hidden states are mean-pooled over the token axis.  Without a provider
     the embedding is simply the mean over all patch rows of all frames.
-    Provider failures and unpoolable replies surface as ``ProviderError``.
+    Provider failures and replies that do not pool to a finite vector
+    surface as ``ProviderError``.
     """
     stacked = event.frames.features.reshape(-1, event.frames.dim)
     if summarizer is None:
         return EventEmbedding(mean_pool(stacked), provenance="fallback-meanpool")
     with provider_call(f"summarizer failed on event {event.event_id}"):
         states = summarizer.hidden_states(stacked.astype(np.float64), SUMMARY_PROMPT)
-        return EventEmbedding(mean_pool(states), provenance=summarizer.provider_id)
+        pooled = _finite(mean_pool(states), f"summarizer reply for event {event.event_id}")
+        return EventEmbedding(pooled, provenance=summarizer.provider_id)
 
 
 def embed_question(
@@ -114,7 +116,7 @@ def embed_question(
 
     The fallback needs ``dim`` so its vectors live in the same space as the
     fallback event embeddings (the raw feature dimension).  Any embedder
-    failure, or a reply that is not a vector, surfaces as a ``ProviderError``.
+    failure, or a reply that is not a finite vector, is a ``ProviderError``.
     """
     if not question or not question.strip():
         raise ValueError("question text must be non-empty")
@@ -123,7 +125,15 @@ def embed_question(
             raise InvalidConfigError("dim is required when no embedder provider is given")
         embedder = HashingQuestionEmbedder(dim)
     with provider_call("question embedder failed"):
-        return np.asarray(embedder.embed(question), dtype=np.float64).reshape(-1)
+        vector = np.asarray(embedder.embed(question), dtype=np.float64).reshape(-1)
+    return _finite(vector, "question embedder reply")
+
+
+def _finite(vector: np.ndarray, what: str) -> np.ndarray:
+    """``vector`` itself; a provider reply holding NaN or inf is a ``ProviderError``."""
+    if not np.isfinite(vector).all():
+        raise ProviderError(f"{what} contains NaN or infinite values")
+    return vector
 
 
 def compress_stream(
@@ -160,7 +170,7 @@ def compress_stream(
             )
             score = -1.0
         else:
-            score = float(np.clip(float(emb.vector @ q) / (emb.norm * nq), -1.0, 1.0))
+            score = min(1.0, max(-1.0, float(emb.vector @ q) / (emb.norm * nq)))
         preserved = score >= config.theta
         units.append(
             VisualUnit(

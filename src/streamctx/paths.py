@@ -165,11 +165,7 @@ def weighted_draw(candidate_ids: Sequence[int], scores, rng: np.random.Generator
 
 
 def _rs_table(pool: Sequence[QARecord]) -> dict[tuple[int, int], float]:
-    table = {}
-    for qa in pool:
-        for prior_id, score in qa.relevance_scores.items():
-            table[(qa.qa_id, prior_id)] = score
-    return table
+    return {(qa.qa_id, prior): score for qa in pool for prior, score in qa.relevance_scores.items()}
 
 
 def generate_path(
@@ -231,9 +227,7 @@ def generate_path(
     for qa_id in path_ids:
         qa = by_id[qa_id]
         ask = ask_times[final_segment] if qa.tier == "global" else ask_times[qa.segment_id]
-        entries.append(
-            PathEntry(qa_id=qa_id, ask_time=ask, gold_relevant=frozenset(qa.relevant_ids & so_far))
-        )
+        entries.append(PathEntry(qa_id, ask, gold_relevant=qa.relevant_ids & so_far))
         so_far.add(qa_id)
     return DialoguePath(entries=tuple(entries))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -235,16 +235,9 @@ class RetrievalMetrics:
         return 2 * p * r / (p + r) if (p + r) > 0 else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
+        """The counts, then the metrics derived from them."""
+        rates = ("accuracy", "precision", "recall", "f1")
+        return {**asdict(self), **{name: getattr(self, name) for name in rates}}
 
 
 def score_retrieval(
@@ -258,11 +251,9 @@ def score_retrieval(
     positive, unselected-and-not-gold a true negative, and so on.  Predicted
     or gold ids outside the history are an error, not a silent drop.
     """
-    pred = predicted.selected_ids if isinstance(predicted, RetrievalOutput) else frozenset(
-        int(i) for i in predicted
-    )
-    gold_set = frozenset(int(i) for i in gold)
-    ids = frozenset(int(i) for i in history_ids)
+    pred = frozenset(predicted.selected_ids if isinstance(predicted, RetrievalOutput) else predicted)
+    gold_set = frozenset(gold)
+    ids = frozenset(history_ids)
     if not pred <= ids:
         raise ValueError(f"predicted ids outside the history: {sorted(pred - ids)}")
     if not gold_set <= ids:

@@ -26,7 +26,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -34,8 +34,19 @@ import numpy as np
 
 from .assembly import answer as generate_answer
 from .assembly import assemble
-from .clustering import ClusterConfig, ClusterResult, Event, choose_k, cluster, events_from
+from .clustering import (
+    DEFAULT_EPSILON,
+    DEFAULT_MAX_ITERS,
+    DEFAULT_RATIO,
+    ClusterConfig,
+    ClusterResult,
+    Event,
+    choose_k,
+    cluster,
+    events_from,
+)
 from .compression import (
+    DEFAULT_THETA,
     CompressionConfig,
     EventEmbedding,
     compress_stream,
@@ -47,6 +58,7 @@ from .errors import InvalidConfigError, StreamContextError
 from .paths import DEFAULT_ALPHA_LEN, DEFAULT_NUM_PATHS, PathConfig
 from .providers import Generator, HashingQuestionEmbedder, Retriever, Summarizer, TextEmbedder
 from .retrieval import (
+    DEFAULT_OVERLAP_THRESHOLD,
     DialogueHistory,
     HistoryItem,
     RetrievalMetrics,
@@ -55,7 +67,15 @@ from .retrieval import (
     retrieve,
     score_retrieval,
 )
-from .store import FrameBlock, FrameFeature, SessionManifest, load_session_frames
+from .store import (
+    FrameBlock,
+    FrameFeature,
+    SessionManifest,
+    check_fields,
+    encode,
+    from_json,
+    load_session_frames,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -63,13 +83,6 @@ logger = logging.getLogger(__name__)
 VOLATILE_FIELDS = ("wall_ms",)
 
 RETRIEVAL_MODES = ("fallback", "provider", "oracle")
-
-
-def _json_typed(value, kind: type) -> bool:
-    """``value`` has the JSON type of ``kind``: bools are not numbers, ints count as floats."""
-    if isinstance(value, bool) or kind is bool:
-        return isinstance(value, bool) and kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass(frozen=True)
@@ -82,25 +95,22 @@ class EngineConfig:
     configs, and the stage configs own their rules.
     """
 
-    cluster_ratio: float = 1.0 / 15.0
+    cluster_ratio: float = DEFAULT_RATIO
     alpha_time: float = 1.0
-    epsilon: float = 1e-4
-    max_iters: int = 100
-    theta: float = 0.45
+    epsilon: float = DEFAULT_EPSILON
+    max_iters: int = DEFAULT_MAX_ITERS
+    theta: float = DEFAULT_THETA
     retrieval_mode: str = "fallback"
-    retrieval_threshold: float = 0.3
+    retrieval_threshold: float = DEFAULT_OVERLAP_THRESHOLD
     use_gold_answers: bool = False
     alpha_len: float = DEFAULT_ALPHA_LEN
     num_paths: int = DEFAULT_NUM_PATHS
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _json_typed(value, type(f.default)):
-                raise InvalidConfigError(
-                    f"{f.name} must be a {type(f.default).__name__}, got {value!r}"
-                )
+        check_fields(self, InvalidConfigError)
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
         if self.retrieval_mode not in RETRIEVAL_MODES:
             raise InvalidConfigError(
                 f"retrieval_mode must be one of {RETRIEVAL_MODES}, got {self.retrieval_mode!r}"
@@ -129,17 +139,11 @@ class EngineConfig:
         return CompressionConfig(theta=self.theta)
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return encode(self)
 
     @classmethod
-    def from_dict(cls, obj: Mapping) -> "EngineConfig":
-        if not isinstance(obj, Mapping):
-            raise InvalidConfigError(f"config must be a JSON object, got {type(obj).__name__}")
-        known = {f.name for f in fields(cls)}
-        stray = set(obj) - known
-        if stray:
-            raise InvalidConfigError(f"unknown config keys: {sorted(stray)}")
-        return cls(**obj)
+    def from_dict(cls, obj) -> "EngineConfig":
+        return from_json(cls, obj, InvalidConfigError)
 
     @classmethod
     def from_file(cls, path) -> "EngineConfig":
@@ -468,14 +472,8 @@ def validate_report(report: SimulationReport | Sequence[str]) -> None:
 
 def load_report_records(path) -> list[dict]:
     """Records (not the summary) from a JSON-lines report file."""
-    records = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        if obj.get("kind") == "record":
-            records.append(obj)
-    return records
+    objs = [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
+    return [obj for obj in objs if obj.get("kind") == "record"]
 
 
 def summarize_records(records: Sequence[dict]) -> dict:

@@ -16,11 +16,16 @@ keys match the dataclass field names below.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import inspect
 import json
+import re
 import struct
-from dataclasses import dataclass, field, replace
+import typing
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +46,9 @@ FORMAT_VERSION = 1
 MANIFEST_SCHEMA_VERSION = 1
 
 _HEADER = struct.Struct("<4sIIII")
+
+#: An int id as JSON writes a key: ``relevance_scores`` keys are text.
+_ID_TEXT = re.compile(r"0|-?[1-9][0-9]*")
 
 #: Question categories, grouped into the three difficulty tiers the path
 #: generator samples from.
@@ -164,6 +172,9 @@ class SegmentMeta:
     embedding_ref: str
 
     def __post_init__(self):
+        check_fields(self, ManifestError)
+        object.__setattr__(self, "start_s", float(self.start_s))
+        object.__setattr__(self, "end_s", float(self.end_s))
         if self.segment_id < 1:
             raise ManifestError(f"segment_id must be >= 1, got {self.segment_id}")
         if not (np.isfinite(self.start_s) and np.isfinite(self.end_s)):
@@ -191,20 +202,26 @@ class QARecord:
     relevance_scores: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (isinstance(self.question, str) and self.question.strip()):
+        check_fields(self, ManifestError)
+        if not self.question.strip():
             raise ManifestError(f"qa {self.qa_id}: question must be non-empty text")
         if self.qa_type not in QA_TIERS:
             raise ManifestError(
                 f"qa {self.qa_id}: unknown qa_type {self.qa_type!r}; "
                 f"expected one of {sorted(QA_TIERS)}"
             )
-        object.__setattr__(self, "relevant_ids", frozenset(int(i) for i in self.relevant_ids))
-        scores = {int(k): float(v) for k, v in dict(self.relevance_scores).items()}
-        for other, score in scores.items():
-            if not np.isfinite(score) or not 0.0 <= score <= 7.0:
+        _hold_ids(self, "relevant_ids")
+        if not isinstance(self.relevance_scores, Mapping):
+            raise ManifestError(f"qa {self.qa_id}: relevance_scores must be an object")
+        scores = {}
+        for key, score in self.relevance_scores.items():
+            other = int(key) if isinstance(key, str) and _ID_TEXT.fullmatch(key) else key
+            if not (json_typed(other, int) and json_typed(score, float) and 0.0 <= score <= 7.0):
                 raise ManifestError(
-                    f"qa {self.qa_id}: relevance score for {other} must be in [0, 7], got {score}"
+                    f"qa {self.qa_id}: relevance score keys must be int ids and scores "
+                    f"in [0, 7], got {key!r}: {score!r}"
                 )
+            scores[other] = float(score)
         object.__setattr__(self, "relevance_scores", scores)
 
     @property
@@ -221,15 +238,27 @@ class PathEntry:
     gold_relevant: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "gold_relevant", frozenset(int(i) for i in self.gold_relevant))
+        check_fields(self, ManifestError)
+        object.__setattr__(self, "ask_time", float(self.ask_time))
+        _hold_ids(self, "gold_relevant")
+
+
+def _hold_ids(record, name: str) -> None:
+    """Store ``record.name``, a collection of int ids, as a frozenset."""
+    ids = getattr(record, name)
+    if not isinstance(ids, (list, tuple, set, frozenset)) or (
+        ids and not all(json_typed(i, int) for i in ids)  # most id sets are empty
+    ):
+        raise ManifestError(f"{type(record).__name__}.{name} must be a list of int ids, got {ids!r}")
+    object.__setattr__(record, name, frozenset(ids))
 
 
 @dataclass(frozen=True)
 class DialoguePath:
     """An ordered dialogue stream over a session's QA pool.
 
-    Entries are chronological, qa_ids never repeat, and every gold relevant
-    set only references questions asked earlier on the same path.
+    Entries are chronological at finite times, qa_ids never repeat, and every
+    gold relevant set only references questions asked earlier on the same path.
     """
 
     entries: tuple[PathEntry, ...]
@@ -241,9 +270,9 @@ class DialoguePath:
         for entry in self.entries:
             if entry.qa_id in seen:
                 raise ManifestError(f"dialogue path repeats qa_id {entry.qa_id}")
-            if entry.ask_time < last_time:
+            if not last_time <= entry.ask_time < np.inf:  # a NaN compares False
                 raise ManifestError(
-                    f"dialogue path ask times must be non-decreasing (qa_id {entry.qa_id})"
+                    f"dialogue path ask times must be finite and non-decreasing (qa_id {entry.qa_id})"
                 )
             if not entry.gold_relevant <= seen:
                 raise ManifestError(
@@ -269,12 +298,10 @@ class SessionManifest:
     dialogue_streams: tuple[DialoguePath, ...] = ()
 
     def __post_init__(self):
+        check_fields(self, ManifestError)
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "qa_pool", tuple(self.qa_pool))
         object.__setattr__(self, "dialogue_streams", tuple(self.dialogue_streams))
-        self.validate()
-
-    def validate(self) -> None:
         seg_ids = [s.segment_id for s in self.segments]
         if len(set(seg_ids)) != len(seg_ids):
             raise ManifestError("duplicate segment_id in manifest")
@@ -309,10 +336,6 @@ class SessionManifest:
                     raise ManifestError(
                         f"dialogue stream references unknown qa_id {entry.qa_id}"
                     )
-
-
-def with_updated_pool(manifest: SessionManifest, pool: Sequence[QARecord]) -> SessionManifest:
-    return replace(manifest, qa_pool=tuple(pool))
 
 
 # ---------------------------------------------------------------------------
@@ -415,99 +438,95 @@ def load_embeddings(path) -> FrameBlock:
 
 
 # ---------------------------------------------------------------------------
-# manifest JSON
+# records as JSON
 
 
-def _qa_to_dict(qa: QARecord) -> dict:
-    return {
-        "qa_id": qa.qa_id,
-        "segment_id": qa.segment_id,
-        "qa_type": qa.qa_type,
-        "question": qa.question,
-        "answer": qa.answer,
-        "relevant_ids": sorted(qa.relevant_ids),
-        "relevance_scores": {str(k): v for k, v in sorted(qa.relevance_scores.items())},
-    }
+def json_typed(value, kind: type) -> bool:
+    """``value`` has the JSON type of ``kind``: bools are not numbers, ints count as floats."""
+    if type(value) is kind:
+        return True
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _qa_from_dict(obj: Mapping) -> QARecord:
-    return QARecord(
-        qa_id=int(obj["qa_id"]),
-        segment_id=int(obj["segment_id"]),
-        qa_type=obj["qa_type"],
-        question=obj["question"],
-        answer=obj["answer"],
-        relevant_ids=frozenset(int(i) for i in obj.get("relevant_ids", ())),
-        relevance_scores={int(k): float(v) for k, v in obj.get("relevance_scores", {}).items()},
-    )
+@functools.cache
+def _typed_fields(cls) -> tuple[tuple, tuple]:
+    """A record class's fields annotated int, float, str or bool as (name,
+    type), and its ``tuple[R, ...]`` fields as (name, R); built once per class."""
+    scalars, records = [], []
+    for name, hint in typing.get_type_hints(cls).items():
+        item = typing.get_args(hint)[0] if typing.get_origin(hint) is tuple else None
+        if hint in (int, float, str, bool):
+            scalars.append((name, hint))
+        elif dataclasses.is_dataclass(item):
+            records.append((name, item))
+    return tuple(scalars), tuple(records)
+
+
+def check_fields(record, error: type[Exception]) -> None:
+    """Raise ``error`` unless each field of ``record`` annotated int, float,
+    str or bool holds that JSON type (``json_typed``)."""
+    for name, kind in _typed_fields(type(record))[0]:
+        value = getattr(record, name)
+        if type(value) is not kind and not json_typed(value, kind):  # the exact type skips the call
+            raise error(f"{type(record).__name__}.{name} must be a {kind.__name__}, got {value!r}")
+
+
+def from_json(cls, obj, error: type[Exception]):
+    """The ``cls`` record that the JSON object ``obj`` describes.
+
+    A ``tuple[R, ...]`` field holds a list of ``R`` objects, decoded the same
+    way.  A value that is not an object, a missing key or an unknown key
+    raises ``error`` at any level; the record's constructor checks the values.
+    """
+    if not isinstance(obj, dict):
+        raise error(f"{cls.__name__} must be a JSON object, got {type(obj).__name__}")
+    values = obj
+    for name, item in _typed_fields(cls)[1]:
+        if name in obj:
+            if not isinstance(obj[name], list):
+                raise error(f"{cls.__name__}.{name} must be a list of {item.__name__} objects")
+            values = {**values, name: tuple(from_json(item, each, error) for each in obj[name])}
+    try:
+        return cls(**values)
+    except TypeError:
+        # The keys are checked only once the constructor refuses them, off
+        # the path every valid record takes.
+        try:
+            inspect.signature(cls).bind(**values)
+        except TypeError as exc:
+            raise error(f"{cls.__name__}: {exc}") from None
+        raise
+
+
+def encode(value):
+    """A record as a JSON object, keys in field order; inside it, record
+    tuples become lists, id sets sorted lists, and score maps objects sorted
+    by id with the ids as text."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [encode(each) for each in value]
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, Mapping):
+        return {str(k): v for k, v in sorted(value.items())}
+    return value
 
 
 def manifest_to_dict(manifest: SessionManifest) -> dict:
-    return {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "video_id": manifest.video_id,
-        "segments": [
-            {
-                "segment_id": s.segment_id,
-                "start_s": s.start_s,
-                "end_s": s.end_s,
-                "embedding_ref": s.embedding_ref,
-            }
-            for s in manifest.segments
-        ],
-        "qa_pool": [_qa_to_dict(qa) for qa in manifest.qa_pool],
-        "dialogue_streams": [
-            {
-                "entries": [
-                    {
-                        "qa_id": e.qa_id,
-                        "ask_time": e.ask_time,
-                        "gold_relevant": sorted(e.gold_relevant),
-                    }
-                    for e in stream.entries
-                ]
-            }
-            for stream in manifest.dialogue_streams
-        ],
-    }
+    return {"schema_version": MANIFEST_SCHEMA_VERSION, **encode(manifest)}
 
 
-def manifest_from_dict(obj: Mapping) -> SessionManifest:
-    try:
-        version = obj["schema_version"]
-        if version != MANIFEST_SCHEMA_VERSION:
-            raise ManifestError(f"unsupported manifest schema_version {version}")
-        segments = tuple(
-            SegmentMeta(
-                segment_id=int(s["segment_id"]),
-                start_s=float(s["start_s"]),
-                end_s=float(s["end_s"]),
-                embedding_ref=s["embedding_ref"],
-            )
-            for s in obj["segments"]
-        )
-        qa_pool = tuple(_qa_from_dict(q) for q in obj["qa_pool"])
-        streams = tuple(
-            DialoguePath(
-                entries=tuple(
-                    PathEntry(
-                        qa_id=int(e["qa_id"]),
-                        ask_time=float(e["ask_time"]),
-                        gold_relevant=frozenset(int(i) for i in e.get("gold_relevant", ())),
-                    )
-                    for e in stream["entries"]
-                )
-            )
-            for stream in obj.get("dialogue_streams", ())
-        )
-        return SessionManifest(
-            video_id=obj["video_id"],
-            segments=segments,
-            qa_pool=qa_pool,
-            dialogue_streams=streams,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ManifestError(f"malformed manifest: {exc}") from exc
+def manifest_from_dict(obj) -> SessionManifest:
+    if not isinstance(obj, dict):
+        raise ManifestError(f"manifest must be a JSON object, got {type(obj).__name__}")
+    body = dict(obj)
+    version = body.pop("schema_version", None)
+    if not (json_typed(version, int) and version == MANIFEST_SCHEMA_VERSION):
+        raise ManifestError(f"unsupported manifest schema_version {version!r}")
+    return from_json(SessionManifest, body, ManifestError)
 
 
 def save_manifest(path, manifest: SessionManifest) -> None:

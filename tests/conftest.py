@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from streamctx.store import FrameFeature
 from streamctx.synthetic import SyntheticSpec, build_synthetic
@@ -18,3 +19,33 @@ def make_frames(n, patches=2, dim=4, seed=0, t0=0.0, dt=1.0):
         FrameFeature(rng.normal(size=(patches, dim)).astype(np.float32), t0 + i * dt)
         for i in range(n)
     ]
+
+
+_JSON_KINDS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(),
+    "float": st.floats(),
+    "string": st.text(max_size=4),
+    "array": st.lists(st.integers() | st.text(max_size=2), max_size=3),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(), max_size=3),
+}
+
+
+def _json_kinds(value) -> set[str]:
+    """The JSON kinds ``value`` is accepted as: an int is a float too."""
+    if value is None:
+        return {"null"}
+    if isinstance(value, bool):
+        return {"bool"}
+    if isinstance(value, (int, float)):
+        return {"int", "float"} if isinstance(value, float) else {"int"}
+    if isinstance(value, str):
+        return {"string"}
+    return {"array"} if isinstance(value, list) else {"object"}
+
+
+def other_json_type(value):
+    """A strategy for JSON values of a type ``value`` does not have."""
+    kinds = _json_kinds(value)
+    return st.one_of(*(strategy for kind, strategy in _JSON_KINDS.items() if kind not in kinds))

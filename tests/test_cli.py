@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from streamctx.cli import main
+from streamctx import cli
+from streamctx.cli import build_parser, main
+from streamctx.paths import RELEVANCE_THRESHOLD, PathConfig
 from streamctx.store import FrameFeature, load_manifest, save_embeddings
-from streamctx.synthetic import SyntheticSpec, make_synthetic
+from streamctx.synthetic import SyntheticSpec, build_synthetic, make_synthetic
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +239,18 @@ class TestSimulateAndEval:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "DimensionMismatchError"
 
+    def test_a_wrongly_typed_manifest_value_is_one_json_error_line(self, capsys, tmp_path):
+        make_synthetic(SyntheticSpec(), out_dir=tmp_path)
+        manifest = tmp_path / "manifest.json"
+        obj = json.loads(manifest.read_text())
+        obj["segments"][0]["embedding_ref"] = 5
+        manifest.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "simulate", "--manifest", str(manifest))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ManifestError"
+        assert "embedding_ref" in json.loads(err)["message"]
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -259,6 +273,22 @@ class TestSimulateAndEval:
 
 
 class TestParser:
+    def test_defaults_come_from_their_sources(self, monkeypatch, tmp_path):
+        parser = build_parser()
+        args = parser.parse_args(["score-relevance", "--manifest", "m.json"])
+        assert args.threshold == RELEVANCE_THRESHOLD
+        args = parser.parse_args(["build-paths", "--manifest", "m.json"])
+        assert args.complex_per_segment == PathConfig().complex_per_segment
+        specs = []
+
+        def build_only(spec, out_dir):
+            specs.append(spec)
+            return build_synthetic(spec)
+
+        monkeypatch.setattr(cli, "make_synthetic", build_only)
+        assert main(["make-synthetic", "--out-dir", str(tmp_path)]) == 0
+        assert specs == [SyntheticSpec()]
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -6,6 +6,8 @@ from dataclasses import replace
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamctx.errors import DimensionMismatchError, InvalidConfigError, ProviderError
 from streamctx.providers import EchoGenerator, HashingQuestionEmbedder
@@ -24,6 +26,8 @@ from streamctx.simulate import (
 )
 from streamctx.store import DialoguePath, FrameFeature, PathEntry, load_session_frames
 from streamctx.synthetic import SyntheticSpec, make_synthetic
+
+from conftest import other_json_type
 
 
 class TestEngineConfig:
@@ -79,6 +83,7 @@ class TestEngineConfig:
             {"retrieval_threshold": float("inf")},
             {"retrieval_threshold": -0.1},
             {"retrieval_threshold": 1.5},
+            {"seed": -1},
         ],
     )
     def test_stage_config_rules_apply_at_construction(self, kwargs):
@@ -105,6 +110,15 @@ class TestEngineConfig:
     def test_wrong_types_rejected(self, kwargs):
         with pytest.raises(InvalidConfigError):
             EngineConfig.from_dict(kwargs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_a_value_of_another_json_type_is_an_invalid_config(self, data):
+        obj = EngineConfig(theta=0.6, seed=9, retrieval_mode="oracle").to_dict()
+        key = data.draw(st.sampled_from(sorted(obj)), label="key")
+        obj[key] = data.draw(other_json_type(obj[key]), label="value")
+        with pytest.raises(InvalidConfigError):
+            EngineConfig.from_dict(obj)
 
     def test_ints_count_as_floats(self):
         cfg = EngineConfig.from_dict({"theta": 0, "alpha_time": 2, "retrieval_threshold": 1})
@@ -340,6 +354,29 @@ class TestSimulateFailureModes:
         )
         assert report.summary["failed_questions"] == 20
         assert {r["error"]["type"] for r in report.records} == {"ProviderError"}
+
+    @pytest.mark.parametrize("role", ["summarizer", "embedder"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_provider_vectors_are_provider_errors(self, default_session, role, bad):
+        class NonFinite:
+            provider_id = "non-finite"
+
+            def hidden_states(self, features, prompt):
+                return np.full_like(features, bad)
+
+            def embed(self, text):
+                return np.full(8, bad)
+
+        report = simulate(
+            default_session.manifest,
+            0,
+            EngineConfig(),
+            frames=default_session.frames,
+            providers=ProviderSet(**{role: NonFinite()}),
+        )
+        assert report.summary["failed_questions"] == 20
+        assert {r["error"]["type"] for r in report.records} == {"ProviderError"}
+        assert all("NaN or infinite" in r["error"]["message"] for r in report.records)
 
     def test_a_bug_in_a_stage_crashes_the_run(self, default_session, monkeypatch):
         def broken(*args, **kwargs):

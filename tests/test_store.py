@@ -1,3 +1,6 @@
+import copy
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from streamctx.errors import (
     VersionMismatchError,
 )
 from streamctx.store import (
+    QA_TIERS,
     FrameBlock,
     FrameFeature,
     PathEntry,
@@ -34,7 +38,7 @@ from streamctx.store import (
     save_manifest,
 )
 
-from conftest import make_frames
+from conftest import make_frames, other_json_type
 
 
 class TestFrameFeature:
@@ -469,3 +473,215 @@ class TestManifest:
         )
         with pytest.raises(ManifestError):
             load_session_frames(manifest, tmp_path)
+
+
+#: ``save_manifest`` of ``_tiny_manifest()``: the keys in this order, id sets
+#: sorted, score keys as text and times as floats.
+TINY_MANIFEST_JSON = {
+    "schema_version": 1,
+    "video_id": "vid-1",
+    "segments": [
+        {"segment_id": 1, "start_s": 0.0, "end_s": 10.0, "embedding_ref": "embeddings/s1.bin"},
+        {"segment_id": 2, "start_s": 10.0, "end_s": 20.0, "embedding_ref": "embeddings/s2.bin"},
+    ],
+    "qa_pool": [
+        {
+            "qa_id": 1, "segment_id": 1, "qa_type": "attributes",
+            "question": "What color is the lamp?", "answer": "Red.",
+            "relevant_ids": [], "relevance_scores": {},
+        },
+        {
+            "qa_id": 2, "segment_id": 2, "qa_type": "dynamic-updating",
+            "question": "How did the lamp change?", "answer": "It moved.",
+            "relevant_ids": [1], "relevance_scores": {"1": 6.5},
+        },
+    ],
+    "dialogue_streams": [
+        {
+            "entries": [
+                {"qa_id": 1, "ask_time": 10.0, "gold_relevant": []},
+                {"qa_id": 2, "ask_time": 20.0, "gold_relevant": [1]},
+            ]
+        }
+    ],
+}
+
+
+def _slot(obj, at):
+    """The container holding the last key of path ``at``, and that key."""
+    for key in at[:-1]:
+        obj = obj[key]
+    return obj, at[-1]
+
+
+def _json_slots(obj, at=()):
+    """Every (container, key) in a JSON value, nested ones included."""
+    keys = range(len(obj)) if isinstance(obj, list) else obj.keys()
+    for key in keys:
+        yield obj, key, at + (key,)
+        if isinstance(obj[key], (list, dict)):
+            yield from _json_slots(obj[key], at + (key,))
+
+
+_TEXT = st.text(min_size=1, max_size=8).filter(str.strip)
+
+
+@st.composite
+def valid_manifests(draw):
+    """Random valid manifests: any counts, ids and float times, empty id sets
+    and no streams allowed."""
+    n_segments = draw(st.integers(1, 4))
+    bounds = sorted(draw(st.lists(
+        st.floats(0.0, 1e6), min_size=2 * n_segments, max_size=2 * n_segments, unique=True,
+    )))
+    segment_ids = sorted(draw(st.lists(
+        st.integers(1, 10**6), min_size=n_segments, max_size=n_segments, unique=True,
+    )))
+    segments = [
+        SegmentMeta(sid, bounds[2 * i], bounds[2 * i + 1], draw(_TEXT))
+        for i, sid in enumerate(segment_ids)
+    ]
+    qa_ids = draw(st.lists(st.integers(-(10**6), 10**6), max_size=6, unique=True))
+    pool = []
+    for qa_id in qa_ids:
+        segment_id = draw(st.sampled_from(segment_ids))
+        earlier = sorted(qa.qa_id for qa in pool if qa.segment_id < segment_id)
+        pool.append(QARecord(
+            qa_id, segment_id, draw(st.sampled_from(sorted(QA_TIERS))), draw(_TEXT),
+            draw(st.text(max_size=8)),
+            relevant_ids=draw(st.frozensets(st.sampled_from(earlier))) if earlier else frozenset(),
+            relevance_scores=draw(st.dictionaries(
+                st.sampled_from(earlier), st.floats(0.0, 7.0), max_size=len(earlier),
+            )) if earlier else {},
+        ))
+    streams = []
+    for _ in range(draw(st.integers(0, 2))):
+        order = draw(st.permutations(qa_ids))[: draw(st.integers(0, len(qa_ids)))]
+        times = sorted(draw(st.lists(
+            st.floats(0.0, 1e6), min_size=len(order), max_size=len(order),
+        )))
+        entries = [
+            PathEntry(qa_id, at, draw(st.frozensets(st.sampled_from(order[:i]))) if i else frozenset())
+            for i, (qa_id, at) in enumerate(zip(order, times))
+        ]
+        streams.append(DialoguePath(tuple(entries)))
+    return SessionManifest(draw(st.text(max_size=8)), tuple(segments), tuple(pool), tuple(streams))
+
+
+class TestManifestJson:
+    def test_writes_the_documented_bytes(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        save_manifest(path, _tiny_manifest())
+        assert path.read_text() == json.dumps(TINY_MANIFEST_JSON, indent=2) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(manifest=valid_manifests())
+    def test_round_trip(self, manifest):
+        obj = manifest_to_dict(manifest)
+        back = manifest_from_dict(json.loads(json.dumps(obj)))
+        assert back == manifest
+        assert json.dumps(manifest_to_dict(back)) == json.dumps(obj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_value_of_another_json_type_is_a_manifest_error(self, data):
+        obj = copy.deepcopy(TINY_MANIFEST_JSON)
+        container, key, at = data.draw(st.sampled_from(list(_json_slots(obj))), label="slot")
+        container[key] = data.draw(other_json_type(container[key]), label=f"value at {at}")
+        with pytest.raises(ManifestError):
+            manifest_from_dict(obj)
+
+    @pytest.mark.parametrize(
+        "at, value, named",
+        [
+            (("qa_pool", 0, "qa_id"), 1.7, "qa_id"),
+            (("dialogue_streams", 0, "entries", 1, "ask_time"), True, "ask_time"),
+            (("qa_pool", 1, "answer"), None, "answer"),
+            (("video_id",), 7, "video_id"),
+            (("segments", 0, "embedding_ref"), 5, "embedding_ref"),
+            (("qa_pool", 1, "relevant_ids", 0), 1.0, "relevant_ids"),
+            (("qa_pool", 1, "relevance_scores"), [[1, 6.5]], "relevance_scores"),
+            (("dialogue_streams", 0, "entries", 1, "gold_relevant"), "1", "gold_relevant"),
+            (("segments",), {}, "segments"),
+        ],
+    )
+    def test_values_are_checked_not_coerced(self, at, value, named):
+        obj = copy.deepcopy(TINY_MANIFEST_JSON)
+        container, key = _slot(obj, at)
+        container[key] = value
+        with pytest.raises(ManifestError, match=named):
+            manifest_from_dict(obj)
+
+    @pytest.mark.parametrize(
+        "at",
+        [("colour",), ("segments", 1, "colour"), ("qa_pool", 0, "colour"),
+         ("dialogue_streams", 0, "colour"), ("dialogue_streams", 0, "entries", 0, "colour")],
+    )
+    def test_unknown_keys_fail_by_name_at_every_level(self, at):
+        obj = copy.deepcopy(TINY_MANIFEST_JSON)
+        container, key = _slot(obj, at)
+        container[key] = "red"
+        with pytest.raises(ManifestError, match="colour"):
+            manifest_from_dict(obj)
+
+    @pytest.mark.parametrize(
+        "at",
+        [("video_id",), ("segments", 0, "end_s"), ("qa_pool", 1, "answer"),
+         ("dialogue_streams", 0, "entries"), ("dialogue_streams", 0, "entries", 0, "qa_id"),
+         ("schema_version",)],
+    )
+    def test_a_missing_key_fails_by_name(self, at):
+        obj = copy.deepcopy(TINY_MANIFEST_JSON)
+        container, key = _slot(obj, at)
+        del container[key]
+        with pytest.raises(ManifestError, match=key):
+            manifest_from_dict(obj)
+
+    def test_optional_keys_take_their_defaults(self):
+        obj = copy.deepcopy(TINY_MANIFEST_JSON)
+        del obj["dialogue_streams"]
+        for qa in obj["qa_pool"]:
+            del qa["relevant_ids"], qa["relevance_scores"]
+        manifest = manifest_from_dict(obj)
+        assert manifest.dialogue_streams == ()
+        assert manifest.qa_pool[1].relevant_ids == frozenset()
+        assert manifest.qa_pool[1].relevance_scores == {}
+
+    @pytest.mark.parametrize("ask_time", [float("nan"), float("inf")])
+    def test_ask_times_must_be_finite(self, ask_time):
+        # either one would let simulate show the question every segment with 0 violations
+        obj = copy.deepcopy(TINY_MANIFEST_JSON)
+        obj["dialogue_streams"][0]["entries"][0]["ask_time"] = ask_time
+        with pytest.raises(ManifestError, match="finite"):
+            manifest_from_dict(json.loads(json.dumps(obj)))
+
+    @pytest.mark.parametrize("key", ["1.0", "01", " 1", "+1", "one", "١"])
+    def test_score_keys_must_be_int_ids(self, key):
+        obj = copy.deepcopy(TINY_MANIFEST_JSON)
+        obj["qa_pool"][1]["relevance_scores"] = {key: 6.5}
+        with pytest.raises(ManifestError, match="key"):
+            manifest_from_dict(obj)
+
+    def test_floats_are_stored_as_floats(self):
+        obj = copy.deepcopy(TINY_MANIFEST_JSON)
+        obj["segments"][0]["start_s"] = 0
+        obj["dialogue_streams"][0]["entries"][0]["ask_time"] = 10
+        obj["qa_pool"][1]["relevance_scores"] = {"1": 7}
+        manifest = manifest_from_dict(obj)
+        assert type(manifest.segments[0].start_s) is float
+        assert type(manifest.dialogue_streams[0].entries[0].ask_time) is float
+        assert type(manifest.qa_pool[1].relevance_scores[1]) is float
+        expected = copy.deepcopy(TINY_MANIFEST_JSON)
+        expected["qa_pool"][1]["relevance_scores"] = {"1": 7.0}
+        assert json.dumps(manifest_to_dict(manifest)) == json.dumps(expected)
+
+    @pytest.mark.parametrize("obj", [None, [], "manifest", 1])
+    def test_a_manifest_must_be_an_object(self, obj):
+        with pytest.raises(ManifestError):
+            manifest_from_dict(obj)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None])
+    def test_schema_version_must_be_the_int_one(self, version):
+        obj = {**copy.deepcopy(TINY_MANIFEST_JSON), "schema_version": version}
+        with pytest.raises(ManifestError, match="schema_version"):
+            manifest_from_dict(obj)
