@@ -86,9 +86,7 @@ def render_layout(package: ContextPackage) -> str:
     The payload carries both structured ``blocks`` and a rendered ``layout``
     built from ``DEFAULT_TEMPLATE``; identical packages render byte-identically.
     """
-    tpl = DEFAULT_TEMPLATE
     blocks = []
-    lines = []
     for unit in package.units:
         if isinstance(unit, VisualUnit):
             blocks.append(
@@ -101,15 +99,6 @@ def render_layout(package: ContextPackage) -> str:
                     "tokens": unit.tokens,
                 }
             )
-            lines.append(
-                tpl["visual"].format(
-                    time=unit.start_s,
-                    event_id=unit.event_id,
-                    tokens=unit.tokens,
-                    frames=unit.num_frames,
-                    mode=unit.kind,
-                )
-            )
         else:
             blocks.append(
                 {
@@ -120,15 +109,8 @@ def render_layout(package: ContextPackage) -> str:
                     "answer": unit.answer,
                 }
             )
-            lines.append(
-                tpl["text"].format(
-                    time=unit.ask_time,
-                    qa_id=unit.qa_id,
-                    question=unit.question,
-                    answer=unit.answer,
-                )
-            )
-    lines.append(tpl["question"].format(question=package.current_question))
+    lines = [DEFAULT_TEMPLATE[block["kind"]].format(**block) for block in blocks]
+    lines.append(DEFAULT_TEMPLATE["question"].format(question=package.current_question))
     payload = {
         "schema": PAYLOAD_SCHEMA,
         "delta": package.delta,

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-Every subcommand accepts ``--config <json>`` (an EngineConfig file),
-``--seed`` (overrides the config seed), and ``--out`` (output file; stdout
+Each subcommand declares only the flags it reads.  The engine commands
+(``cluster``, ``compress``, ``retrieve``, ``simulate``) take ``--config
+<json>`` (an EngineConfig file) and ``--seed`` (overrides the config seed);
+every command but ``make-synthetic`` takes ``--out`` (output file; stdout
 otherwise).  Results are JSON; failures print ``{"error": ..., "message":
 ...}`` to stderr and exit nonzero.
 """
@@ -19,6 +21,7 @@ from .clustering import ClusterResult, choose_k, cluster, events_from
 from .compression import compress_stream, compression_ratio, embed_event, embed_question, token_count
 from .errors import InvalidConfigError, StreamContextError
 from .paths import RELEVANCE_THRESHOLD, PathConfig, attach_streams, build_relevant_sets, score_all_pairs
+from .providers import HashingQuestionEmbedder
 from .retrieval import DialogueHistory, HistoryItem
 from .simulate import EngineConfig, evaluate, load_report_records, retrieval_policy, simulate
 from .store import FrameBlock, load_embeddings, load_manifest, save_manifest
@@ -65,7 +68,7 @@ def _cmd_compress(args) -> None:
     frames, result = _cluster_file(args, config)
     events = events_from(result, frames)
     embeddings = [embed_event(ev) for ev in events]
-    qvec = embed_question(args.question, dim=frames.dim)
+    qvec = embed_question(args.question, HashingQuestionEmbedder(frames.dim))
     units = compress_stream(events, embeddings, qvec, config.compression_config())
     _emit(
         args,
@@ -134,14 +137,13 @@ def _cmd_score_relevance(args) -> None:
 
 
 def _cmd_build_paths(args) -> None:
-    config = _engine_config(args, alpha_len=args.alpha_len, num_paths=args.num_paths)
     manifest = load_manifest(args.manifest)
     path_config = PathConfig(
-        alpha_len=config.alpha_len,
-        num_paths=config.num_paths,
+        alpha_len=args.alpha_len,
+        num_paths=args.num_paths,
         complex_per_segment=args.complex_per_segment,
         force_include_global=args.force_include_global,
-        seed=config.seed,
+        seed=args.seed,
     )
     updated = attach_streams(manifest, path_config)
     save_manifest(args.out or args.manifest, updated)
@@ -169,15 +171,12 @@ def _cmd_eval(args) -> None:
 #: The ``SyntheticSpec`` fields ``make-synthetic`` sets by flag.
 _SPEC_FLAGS = (
     "segments", "frames_per_segment", "patches", "dim", "events_per_segment",
-    "basic_per_segment", "streaming_per_segment", "global_count", "num_streams",
+    "basic_per_segment", "streaming_per_segment", "global_count", "num_streams", "seed",
 )
 
 
 def _cmd_make_synthetic(args) -> None:
-    spec = SyntheticSpec(
-        **{name: getattr(args, name) for name in _SPEC_FLAGS},
-        seed=SyntheticSpec.seed if args.seed is None else args.seed,
-    )
+    spec = SyntheticSpec(**{name: getattr(args, name) for name in _SPEC_FLAGS})
     session = make_synthetic(spec, args.out_dir)
     _say({
         "out_dir": str(session.out_dir),
@@ -188,10 +187,11 @@ def _cmd_make_synthetic(args) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="EngineConfig JSON file")
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--out", help="write the result here instead of stdout")
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument("--config", help="EngineConfig JSON file")
+    engine.add_argument("--seed", type=int, default=None, help="override the config seed")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the result here instead of stdout")
 
     parser = argparse.ArgumentParser(
         prog="streamctx",
@@ -200,54 +200,56 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cluster", parents=[common], help="cluster a frame stream into events")
+    p = sub.add_parser("cluster", parents=[engine, out], help="cluster a frame stream into events")
     p.add_argument("--embeddings", required=True, help="binary frame-embedding file")
     p.add_argument("--k", type=int, default=None, help="cluster count (default: ratio rule)")
     p.add_argument("--alpha-time", type=float, default=None, dest="alpha_time")
     p.set_defaults(func=_cmd_cluster)
 
-    p = sub.add_parser("compress", parents=[common], help="compress events against a question")
+    p = sub.add_parser("compress", parents=[engine, out], help="compress events against a question")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--question", required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--theta", type=float, default=None)
     p.set_defaults(func=_cmd_compress)
 
-    p = sub.add_parser("retrieve", parents=[common], help="retrieve history for one question")
+    p = sub.add_parser("retrieve", parents=[engine, out], help="retrieve history for one question")
     p.add_argument("--manifest", required=True)
     p.add_argument("--qa-id", type=int, required=True, dest="qa_id")
     p.add_argument("--stream", type=int, default=0)
     p.set_defaults(func=_cmd_retrieve)
 
     p = sub.add_parser(
-        "score-relevance", parents=[common],
+        "score-relevance", parents=[out],
         help="fill relevance scores and relevant sets in a manifest",
     )
     p.add_argument("--manifest", required=True)
     p.add_argument("--threshold", type=float, default=RELEVANCE_THRESHOLD)
     p.set_defaults(func=_cmd_score_relevance)
 
-    p = sub.add_parser("build-paths", parents=[common], help="sample dialogue streams")
+    p = sub.add_parser("build-paths", parents=[out], help="sample dialogue streams")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--num-paths", type=int, default=None, dest="num_paths")
-    p.add_argument("--alpha-len", type=float, default=None, dest="alpha_len")
+    p.add_argument("--num-paths", type=int, default=PathConfig.num_paths, dest="num_paths")
+    p.add_argument("--alpha-len", type=float, default=PathConfig.alpha_len, dest="alpha_len")
     p.add_argument(
         "--complex-per-segment", type=int, default=PathConfig.complex_per_segment,
         dest="complex_per_segment",
     )
     p.add_argument("--force-include-global", action="store_true", dest="force_include_global")
+    p.add_argument("--seed", type=int, default=PathConfig.seed)
     p.set_defaults(func=_cmd_build_paths)
 
-    p = sub.add_parser("simulate", parents=[common], help="replay a dialogue stream")
+    p = sub.add_parser("simulate", parents=[engine, out], help="replay a dialogue stream")
     p.add_argument("--manifest", required=True)
     p.add_argument("--stream", type=int, default=0)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("eval", parents=[common], help="corpus metrics over report files")
+    p = sub.add_parser("eval", parents=[out], help="corpus metrics over report files")
     p.add_argument("reports", nargs="+", help="JSON-lines report files")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("make-synthetic", parents=[common], help="generate a synthetic session")
+    # no abbreviations, so "--out" is an error, not "--out-dir"
+    p = sub.add_parser("make-synthetic", allow_abbrev=False, help="generate a synthetic session")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     for name in _SPEC_FLAGS:
         p.add_argument(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .clustering import Event
 from .errors import DimensionMismatchError, InvalidConfigError, ProviderError
-from .providers import SUMMARY_PROMPT, HashingQuestionEmbedder, Summarizer, TextEmbedder, provider_call
+from .providers import SUMMARY_PROMPT, Summarizer, TextEmbedder, provider_call
 from .store import mean_pool
 
 logger = logging.getLogger(__name__)
@@ -106,24 +106,16 @@ def embed_event(event: Event, summarizer: Summarizer | None = None) -> EventEmbe
         return EventEmbedding(pooled, provenance=summarizer.provider_id)
 
 
-def embed_question(
-    question: str,
-    embedder: TextEmbedder | None = None,
-    *,
-    dim: int | None = None,
-) -> np.ndarray:
-    """Embed the current question with a provider or the hashing fallback.
+def embed_question(question: str, embedder: TextEmbedder) -> np.ndarray:
+    """Embed the current question with ``embedder``.
 
-    The fallback needs ``dim`` so its vectors live in the same space as the
-    fallback event embeddings (the raw feature dimension).  Any embedder
-    failure, or a reply that is not a finite vector, is a ``ProviderError``.
+    The caller picks the embedder; the local fallback is a
+    ``HashingQuestionEmbedder`` at the raw feature dimension, the space of the
+    fallback event embeddings.  Any embedder failure, or a reply that is not
+    a finite vector, is a ``ProviderError``.
     """
     if not question or not question.strip():
         raise ValueError("question text must be non-empty")
-    if embedder is None:
-        if dim is None:
-            raise InvalidConfigError("dim is required when no embedder provider is given")
-        embedder = HashingQuestionEmbedder(dim)
     with provider_call("question embedder failed"):
         vector = np.asarray(embedder.embed(question), dtype=np.float64).reshape(-1)
     return _finite(vector, "question embedder reply")

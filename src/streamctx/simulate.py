@@ -55,7 +55,6 @@ from .compression import (
     embed_question,
 )
 from .errors import InvalidConfigError, StreamContextError
-from .paths import DEFAULT_ALPHA_LEN, DEFAULT_NUM_PATHS, PathConfig
 from .providers import Generator, HashingQuestionEmbedder, Retriever, Summarizer, TextEmbedder
 from .retrieval import (
     DEFAULT_OVERLAP_THRESHOLD,
@@ -87,7 +86,7 @@ RETRIEVAL_MODES = ("fallback", "provider", "oracle")
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Every tunable of the streaming engine, JSON round-trippable.
+    """Every setting ``simulate`` reads, JSON round-trippable.
 
     Construction checks every field's type and range, so a bad config fails
     here instead of on every question.  ``cluster_config`` and
@@ -103,8 +102,6 @@ class EngineConfig:
     retrieval_mode: str = "fallback"
     retrieval_threshold: float = DEFAULT_OVERLAP_THRESHOLD
     use_gold_answers: bool = False
-    alpha_len: float = DEFAULT_ALPHA_LEN
-    num_paths: int = DEFAULT_NUM_PATHS
     seed: int = 0
 
     def __post_init__(self):
@@ -123,7 +120,6 @@ class EngineConfig:
             )
         self.compression_config()
         self.cluster_config(k=1, seed=self.seed)
-        PathConfig(alpha_len=self.alpha_len, num_paths=self.num_paths, seed=self.seed)
 
     def cluster_config(self, k: int, seed: int) -> ClusterConfig:
         """The clustering run for ``k`` clusters seeded with ``seed``."""
@@ -174,6 +170,7 @@ class _FrameGuard:
     def __init__(self, manifest: SessionManifest, frames: Mapping[int, FrameBlock]):
         blocks = [FrameBlock.of(frames[seg.segment_id]) for seg in manifest.segments]
         self._block = FrameBlock.of(blocks)
+        self.dim = self._block.dim
         self._ends = [seg.end_s for seg in manifest.segments]
         self._stops = np.cumsum([0] + [len(b) for b in blocks])
         self.violations = 0
@@ -224,11 +221,10 @@ def _question_seed(base_seed: int, prefix: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SimulationReport:
-    video_id: str
-    stream_index: int
+    """One record per question, then the summary: session, stream, corpus fields, config."""
+
     records: tuple[dict, ...]
     summary: dict
-    config: EngineConfig
 
     def lines(self, *, canonical: bool = False) -> list[str]:
         out = []
@@ -286,7 +282,7 @@ def simulate(
     qa_by_id = {qa.qa_id: qa for qa in manifest.qa_pool}
     history = DialogueHistory()
     path = manifest.dialogue_streams[stream_index]
-    question_embedder = prov.embedder
+    question_embedder = prov.embedder or HashingQuestionEmbedder(guard.dim)
     # Ask times never decrease along a path (DialoguePath checks it), so once
     # a later prefix is visible no question returns to an earlier one: the
     # last completed prefix is the only one worth keeping.
@@ -318,8 +314,6 @@ def simulate(
                 result = cluster(visible, config.cluster_config(k, seed))
                 events = events_from(result, visible)
                 embeddings = [embed_event(ev, prov.summarizer) for ev in events]
-            if question_embedder is None:
-                question_embedder = HashingQuestionEmbedder(visible.dim)
             qvec = embed_question(qa.question, question_embedder)
             units = compress_stream(events, embeddings, qvec, compression)
             retrieval = select(history, qa.question, entry.gold_relevant)
@@ -370,13 +364,7 @@ def simulate(
         "leakage_violations": guard.violations,
         "config": config.to_dict(),
     }
-    return SimulationReport(
-        video_id=manifest.video_id,
-        stream_index=stream_index,
-        records=tuple(records),
-        summary=summary,
-        config=config,
-    )
+    return SimulationReport(records=tuple(records), summary=summary)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .errors import (
     TruncatedPayloadError,
     VersionMismatchError,
 )
+from .text import has_word
 
 MAGIC = b"CGSE"
 FORMAT_VERSION = 1
@@ -173,8 +174,6 @@ class SegmentMeta:
 
     def __post_init__(self):
         check_fields(self, ManifestError)
-        object.__setattr__(self, "start_s", float(self.start_s))
-        object.__setattr__(self, "end_s", float(self.end_s))
         if self.segment_id < 1:
             raise ManifestError(f"segment_id must be >= 1, got {self.segment_id}")
         if not (np.isfinite(self.start_s) and np.isfinite(self.end_s)):
@@ -203,8 +202,8 @@ class QARecord:
 
     def __post_init__(self):
         check_fields(self, ManifestError)
-        if not self.question.strip():
-            raise ManifestError(f"qa {self.qa_id}: question must be non-empty text")
+        if not has_word(self.question):
+            raise ManifestError(f"qa {self.qa_id}: question must hold a word, got {self.question!r}")
         if self.qa_type not in QA_TIERS:
             raise ManifestError(
                 f"qa {self.qa_id}: unknown qa_type {self.qa_type!r}; "
@@ -239,7 +238,6 @@ class PathEntry:
 
     def __post_init__(self):
         check_fields(self, ManifestError)
-        object.__setattr__(self, "ask_time", float(self.ask_time))
         _hold_ids(self, "gold_relevant")
 
 
@@ -466,11 +464,15 @@ def _typed_fields(cls) -> tuple[tuple, tuple]:
 
 def check_fields(record, error: type[Exception]) -> None:
     """Raise ``error`` unless each field of ``record`` annotated int, float,
-    str or bool holds that JSON type (``json_typed``)."""
+    str or bool holds that JSON type (``json_typed``); a number in a float
+    field is stored as a float, so equal records encode to equal bytes."""
     for name, kind in _typed_fields(type(record))[0]:
         value = getattr(record, name)
-        if type(value) is not kind and not json_typed(value, kind):  # the exact type skips the call
-            raise error(f"{type(record).__name__}.{name} must be a {kind.__name__}, got {value!r}")
+        if type(value) is not kind:  # the exact type skips the checks
+            if not json_typed(value, kind):
+                raise error(f"{type(record).__name__}.{name} must be a {kind.__name__}, got {value!r}")
+            if kind is float:
+                object.__setattr__(record, name, float(value))
 
 
 def from_json(cls, obj, error: type[Exception]):

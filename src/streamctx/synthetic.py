@@ -14,13 +14,13 @@ form whose ground truth is known exactly:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidConfigError
-from .paths import PathConfig, generate_paths
+from .paths import PathConfig, attach_streams
 from .store import (
     FrameBlock,
     QARecord,
@@ -234,17 +234,9 @@ def build_synthetic(spec: SyntheticSpec = SyntheticSpec()) -> SyntheticSession:
                              relevant_ids=relevant, relevance_scores=scores)
                 )
 
-    manifest = SessionManifest(
-        video_id=f"synthetic-{spec.seed}",
-        segments=tuple(segments),
-        qa_pool=tuple(pool),
-    )
-    path_config = PathConfig(num_paths=spec.num_streams, seed=spec.seed)
-    manifest = SessionManifest(
-        video_id=manifest.video_id,
-        segments=manifest.segments,
-        qa_pool=manifest.qa_pool,
-        dialogue_streams=tuple(generate_paths(manifest, path_config)),
+    manifest = attach_streams(
+        SessionManifest(video_id=f"synthetic-{spec.seed}", segments=segments, qa_pool=pool),
+        PathConfig(num_paths=spec.num_streams, seed=spec.seed),
     )
     return SyntheticSession(manifest=manifest, frames=frames, planted_events=planted)
 
@@ -263,9 +255,4 @@ def make_synthetic(spec: SyntheticSpec = SyntheticSpec(), out_dir=None) -> Synth
     for seg in session.manifest.segments:
         save_embeddings(out / seg.embedding_ref, session.frames[seg.segment_id])
     save_manifest(out / "manifest.json", session.manifest)
-    return SyntheticSession(
-        manifest=session.manifest,
-        frames=session.frames,
-        planted_events=session.planted_events,
-        out_dir=out,
-    )
+    return replace(session, out_dir=out)

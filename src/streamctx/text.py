@@ -19,6 +19,11 @@ def tokenize(text: str) -> list[str]:
     return _WORD.findall(text.lower())
 
 
+def has_word(text: str) -> bool:
+    """Whether ``text`` holds a token, that is, ``tokenize(text)`` is not empty."""
+    return _WORD.search(text.lower()) is not None
+
+
 def term_frequencies(text: str) -> Counter[str]:
     return Counter(tokenize(text))
 

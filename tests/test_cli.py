@@ -256,7 +256,7 @@ class TestSimulateAndEval:
         [
             {"retrieval_threshold": "x"},
             {"theta": "x"},
-            {"num_paths": 0, "alpha_len": "x"},
+            {"alpha_len": 0.3},
             {"retrieval_mode": "provider"},
         ],
     )
@@ -278,7 +278,13 @@ class TestParser:
         args = parser.parse_args(["score-relevance", "--manifest", "m.json"])
         assert args.threshold == RELEVANCE_THRESHOLD
         args = parser.parse_args(["build-paths", "--manifest", "m.json"])
-        assert args.complex_per_segment == PathConfig().complex_per_segment
+        paths = PathConfig()
+        assert args.complex_per_segment == paths.complex_per_segment
+        assert (args.num_paths, args.alpha_len, args.seed) == (
+            paths.num_paths, paths.alpha_len, paths.seed,
+        )
+        args = parser.parse_args(["make-synthetic", "--out-dir", str(tmp_path)])
+        assert args.seed == SyntheticSpec().seed
         specs = []
 
         def build_only(spec, out_dir):
@@ -299,3 +305,25 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["transmogrify"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["score-relevance", "--manifest", "m.json", "--config", "c.json"],
+            ["score-relevance", "--manifest", "m.json", "--seed", "1"],
+            ["eval", "r.jsonl", "--config", "c.json"],
+            ["eval", "r.jsonl", "--seed", "1"],
+            ["make-synthetic", "--out-dir", "d", "--config", "c.json"],
+            # not an abbreviation of --out-dir
+            ["make-synthetic", "--out-dir", "d", "--out", "y"],
+            ["build-paths", "--manifest", "m.json", "--config", "c.json"],
+        ],
+    )
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        monkeypatch.chdir(tmp_path)  # a command that wrongly runs writes here
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -98,24 +98,21 @@ class TestEmbedEvent:
 class TestEmbedQuestion:
     def test_fallback_matches_hashing_embedder(self):
         direct = HashingQuestionEmbedder(12).embed("where is the box")
-        assert np.array_equal(embed_question("where is the box", dim=12), direct)
+        assert np.array_equal(embed_question("where is the box", HashingQuestionEmbedder(12)), direct)
 
-    def test_provider_wins_over_dim(self):
+    def test_an_injected_reply_is_the_vector(self):
         class Emb:
             provider_id = "e"
 
             def embed(self, text):
                 return [1.0, 0.0]
 
-        assert embed_question("q", Emb(), dim=99).tolist() == [1.0, 0.0]
+        vector = embed_question("q", Emb())
+        assert vector.dtype == np.float64 and vector.tolist() == [1.0, 0.0]
 
     def test_empty_question_rejected(self):
         with pytest.raises(ValueError):
-            embed_question("   ", dim=4)
-
-    def test_dim_required_without_provider(self):
-        with pytest.raises(InvalidConfigError):
-            embed_question("q")
+            embed_question("   ", HashingQuestionEmbedder(4))
 
 
 class TestCompressStream:

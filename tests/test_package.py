@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 
@@ -30,6 +31,9 @@ def test_deleted_names_are_gone(module, name):
 def test_deleted_members_are_gone():
     assert not hasattr(streamctx.SessionManifest, "qa_by_id")
     assert not hasattr(streamctx.JsonProviderClient, "judge")
-    assert not hasattr(streamctx.EngineConfig(), "endpoints")
+    for name in ("endpoints", "alpha_len", "num_paths"):
+        assert not hasattr(streamctx.EngineConfig(), name)
+    assert [f.name for f in dataclasses.fields(streamctx.SimulationReport)] == ["records", "summary"]
+    assert list(inspect.signature(streamctx.embed_question).parameters) == ["question", "embedder"]
     assert list(inspect.signature(streamctx.embed_event).parameters) == ["event", "summarizer"]
     assert list(inspect.signature(streamctx.render_layout).parameters) == ["package"]

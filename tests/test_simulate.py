@@ -41,9 +41,11 @@ class TestEngineConfig:
         assert cfg.retrieval_mode == "fallback"
         assert cfg.retrieval_threshold == 0.3
         assert cfg.use_gold_answers is False
-        assert cfg.alpha_len == 0.3
-        assert cfg.num_paths == 3
         assert cfg.seed == 0
+        assert list(cfg.to_dict()) == [
+            "cluster_ratio", "alpha_time", "epsilon", "max_iters", "theta",
+            "retrieval_mode", "retrieval_threshold", "use_gold_answers", "seed",
+        ]
 
     def test_round_trip(self):
         cfg = EngineConfig(theta=0.6, seed=9, retrieval_mode="oracle")
@@ -53,6 +55,11 @@ class TestEngineConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(InvalidConfigError, match="thetta"):
             EngineConfig.from_dict({"thetta": 0.5})
+
+    @pytest.mark.parametrize("key, value", [("alpha_len", 0.3), ("num_paths", 3)])
+    def test_path_sampler_keys_are_not_engine_settings(self, key, value):
+        with pytest.raises(InvalidConfigError, match=key):
+            EngineConfig.from_dict({key: value})
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -77,8 +84,8 @@ class TestEngineConfig:
             {"alpha_time": -1.0},
             {"max_iters": 0},
             {"epsilon": -1e-9},
-            {"num_paths": 0},
-            {"alpha_len": float("inf")},
+            {"cluster_ratio": float("inf")},
+            {"theta": float("nan")},
             {"retrieval_threshold": float("nan")},
             {"retrieval_threshold": float("inf")},
             {"retrieval_threshold": -0.1},
@@ -97,8 +104,8 @@ class TestEngineConfig:
         [
             {"retrieval_threshold": "x"},
             {"theta": "x"},
-            {"num_paths": 0, "alpha_len": "x"},
-            {"alpha_len": None},
+            {"epsilon": "x"},
+            {"cluster_ratio": None},
             {"max_iters": 2.5},
             {"seed": 1.0},
             {"seed": True},
@@ -123,6 +130,9 @@ class TestEngineConfig:
     def test_ints_count_as_floats(self):
         cfg = EngineConfig.from_dict({"theta": 0, "alpha_time": 2, "retrieval_threshold": 1})
         assert cfg.theta == 0 and cfg.alpha_time == 2 and cfg.retrieval_threshold == 1
+        # and are stored as floats; int fields stay ints
+        assert {type(v) for v in (cfg.theta, cfg.alpha_time, cfg.retrieval_threshold)} == {float}
+        assert type(cfg.max_iters) is int and type(cfg.seed) is int
 
     @pytest.mark.parametrize("text", ["5", "null", "[1, 2]"])
     def test_config_must_be_an_object(self, tmp_path, text):
@@ -229,6 +239,15 @@ class TestSimulateFallback:
             default_session.manifest, 0, EngineConfig(), frames=default_session.frames
         )
         assert again.canonical_bytes() == report.canonical_bytes()
+
+    def test_equal_configs_write_equal_bytes(self, default_session):
+        int_given, float_given = EngineConfig(alpha_time=0), EngineConfig(alpha_time=0.0)
+        assert int_given == float_given
+        a, b = (
+            simulate(default_session.manifest, 0, cfg, frames=default_session.frames)
+            for cfg in (int_given, float_given)
+        )
+        assert a.canonical_bytes() == b.canonical_bytes()
 
     def test_wall_time_is_reported_but_not_canonical(self, report):
         assert VOLATILE_FIELDS == ("wall_ms",)

@@ -425,7 +425,7 @@ class TestManifest:
         with pytest.raises(ManifestError):
             QARecord(1, 1, "trivia", "q", "a")
 
-    @pytest.mark.parametrize("question", ["", "   ", 5])
+    @pytest.mark.parametrize("question", ["", "   ", 5, "???"])
     def test_question_must_be_non_empty_text(self, question):
         with pytest.raises(ManifestError):
             QARecord(1, 1, "attributes", question, "a")
@@ -524,6 +524,11 @@ def _json_slots(obj, at=()):
 
 
 _TEXT = st.text(min_size=1, max_size=8).filter(str.strip)
+#: Question text: any text around at least one word (``text.has_word``).
+_QUESTION = st.builds(
+    "{}{}{}".format, st.text(max_size=3), st.from_regex(r"[A-Za-z0-9]{1,3}", fullmatch=True),
+    st.text(max_size=3),
+)
 
 
 @st.composite
@@ -547,7 +552,7 @@ def valid_manifests(draw):
         segment_id = draw(st.sampled_from(segment_ids))
         earlier = sorted(qa.qa_id for qa in pool if qa.segment_id < segment_id)
         pool.append(QARecord(
-            qa_id, segment_id, draw(st.sampled_from(sorted(QA_TIERS))), draw(_TEXT),
+            qa_id, segment_id, draw(st.sampled_from(sorted(QA_TIERS))), draw(_QUESTION),
             draw(st.text(max_size=8)),
             relevant_ids=draw(st.frozensets(st.sampled_from(earlier))) if earlier else frozenset(),
             relevance_scores=draw(st.dictionaries(

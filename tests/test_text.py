@@ -1,6 +1,9 @@
 import math
 
-from streamctx.text import counts_cosine, term_frequencies, tf_cosine, tokenize
+from hypothesis import given
+from hypothesis import strategies as st
+
+from streamctx.text import counts_cosine, has_word, term_frequencies, tf_cosine, tokenize
 
 
 def test_tokenize_lowercases_and_splits_on_punctuation():
@@ -14,6 +17,11 @@ def test_tokenize_keeps_digits():
 def test_tokenize_empty():
     assert tokenize("") == []
     assert tokenize("  ...  ") == []
+
+
+@given(st.text() | st.sampled_from(["???", " İ ", "\u212a", "a", "ß"]))
+def test_has_word_is_a_non_empty_tokenize(text):
+    assert has_word(text) == bool(tokenize(text))
 
 
 def test_term_frequencies_counts():
