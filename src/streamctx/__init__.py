@@ -27,7 +27,6 @@ from .clustering import (
     Event,
     choose_k,
     cluster,
-    composite_distances,
     events_from,
     kmeanspp_init,
 )
@@ -96,7 +95,6 @@ from .store import (
     load_embeddings,
     load_manifest,
     mean_pool,
-    minmax_normalize,
     save_embeddings,
     save_manifest,
 )
@@ -106,11 +104,11 @@ __all__ = [
     "__version__",
     # store
     "FrameBlock", "FrameFeature", "SegmentMeta", "QARecord", "PathEntry", "DialoguePath",
-    "SessionManifest", "cosine", "mean_pool", "minmax_normalize",
+    "SessionManifest", "cosine", "mean_pool",
     "save_embeddings", "load_embeddings", "save_manifest", "load_manifest",
     # clustering
     "ClusterConfig", "ClusterResult", "Event", "choose_k", "cluster",
-    "composite_distances", "events_from", "kmeanspp_init",
+    "events_from", "kmeanspp_init",
     # compression
     "CompressionConfig", "EventEmbedding", "VisualUnit", "compress_stream",
     "compression_ratio", "embed_event", "embed_question", "token_count",

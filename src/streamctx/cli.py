@@ -2,10 +2,10 @@
 
 Each subcommand declares only the flags it reads.  The engine commands
 (``cluster``, ``compress``, ``retrieve``, ``simulate``) take ``--config
-<json>`` (an EngineConfig file) and ``--seed`` (overrides the config seed);
-every command but ``make-synthetic`` takes ``--out`` (output file; stdout
-otherwise).  Results are JSON; failures print ``{"error": ..., "message":
-...}`` to stderr and exit nonzero.
+<json>`` (an EngineConfig file), and those that cluster also take ``--seed``
+(overrides the config seed); every command but ``make-synthetic`` takes
+``--out`` (output file; stdout otherwise).  Results are JSON; bad input
+prints ``{"error": ..., "message": ...}`` to stderr and exits nonzero.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ from .paths import RELEVANCE_THRESHOLD, PathConfig, attach_streams, build_releva
 from .providers import HashingQuestionEmbedder
 from .retrieval import DialogueHistory, HistoryItem
 from .simulate import EngineConfig, evaluate, load_report_records, retrieval_policy, simulate
-from .store import FrameBlock, load_embeddings, load_manifest, save_manifest
+from .store import FrameBlock, load_embeddings, load_manifest, load_session_frames, save_manifest
 from .synthetic import SyntheticSpec, make_synthetic
 
 
 def _engine_config(args: argparse.Namespace, **overrides) -> EngineConfig:
-    """The ``--config`` file (or the defaults) with every flag that was given applied."""
+    """The ``--config`` file (or the defaults) with every override that was given applied."""
     config = EngineConfig.from_file(args.config) if args.config else EngineConfig()
-    overrides["seed"] = args.seed
     return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
@@ -58,13 +57,13 @@ def _cluster_file(args, config: EngineConfig) -> tuple[FrameBlock, ClusterResult
 
 
 def _cmd_cluster(args) -> None:
-    config = _engine_config(args, alpha_time=args.alpha_time)
+    config = _engine_config(args, alpha_time=args.alpha_time, seed=args.seed)
     _, result = _cluster_file(args, config)
     _emit(args, result.to_dict())
 
 
 def _cmd_compress(args) -> None:
-    config = _engine_config(args, theta=args.theta)
+    config = _engine_config(args, theta=args.theta, seed=args.seed)
     frames, result = _cluster_file(args, config)
     events = events_from(result, frames)
     embeddings = [embed_event(ev) for ev in events]
@@ -152,10 +151,11 @@ def _cmd_build_paths(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
-    config = _engine_config(args)
+    config = _engine_config(args, seed=args.seed)
     manifest_path = Path(args.manifest)
     manifest = load_manifest(manifest_path)
-    report = simulate(manifest, args.stream, config, base_dir=manifest_path.parent)
+    frames = load_session_frames(manifest, manifest_path.parent)
+    report = simulate(manifest, args.stream, config, frames=frames)
     if args.out:
         report.write(args.out)
         _say(report.summary)
@@ -189,7 +189,8 @@ def _cmd_make_synthetic(args) -> None:
 def build_parser() -> argparse.ArgumentParser:
     engine = argparse.ArgumentParser(add_help=False)
     engine.add_argument("--config", help="EngineConfig JSON file")
-    engine.add_argument("--seed", type=int, default=None, help="override the config seed")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help="override the config seed")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="write the result here instead of stdout")
 
@@ -200,13 +201,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cluster", parents=[engine, out], help="cluster a frame stream into events")
+    p = sub.add_parser(
+        "cluster", parents=[engine, seed, out], help="cluster a frame stream into events"
+    )
     p.add_argument("--embeddings", required=True, help="binary frame-embedding file")
     p.add_argument("--k", type=int, default=None, help="cluster count (default: ratio rule)")
     p.add_argument("--alpha-time", type=float, default=None, dest="alpha_time")
     p.set_defaults(func=_cmd_cluster)
 
-    p = sub.add_parser("compress", parents=[engine, out], help="compress events against a question")
+    p = sub.add_parser(
+        "compress", parents=[engine, seed, out], help="compress events against a question"
+    )
     p.add_argument("--embeddings", required=True)
     p.add_argument("--question", required=True)
     p.add_argument("--k", type=int, default=None)
@@ -239,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=PathConfig.seed)
     p.set_defaults(func=_cmd_build_paths)
 
-    p = sub.add_parser("simulate", parents=[engine, out], help="replay a dialogue stream")
+    p = sub.add_parser("simulate", parents=[engine, seed, out], help="replay a dialogue stream")
     p.add_argument("--manifest", required=True)
     p.add_argument("--stream", type=int, default=0)
     p.set_defaults(func=_cmd_simulate)
@@ -265,7 +270,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (StreamContextError, ValueError, OSError, KeyError) as exc:
+    except (StreamContextError, ValueError, OSError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )

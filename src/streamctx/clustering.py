@@ -14,7 +14,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -99,8 +99,8 @@ class ClusterResult:
 
 
 def _rowwise_minmax(mat: np.ndarray) -> np.ndarray:
-    # Same rule as store.minmax_normalize, applied to each row: a constant
-    # row (including k == 1) maps to all zeros instead of dividing by zero.
+    # Each row rescaled to [0, 1]; a constant row (including k == 1) maps
+    # to all zeros instead of dividing by zero.
     low = mat.min(axis=1, keepdims=True)
     span = mat.max(axis=1, keepdims=True) - low
     out = np.zeros_like(mat)
@@ -180,10 +180,10 @@ def _assign(
     ties, duplicate frames and duplicate centroids all land there, so ties
     still break toward the lowest index.
     """
-    d_time = np.abs(t[:, None] - taus[None, :])
-    if centroids.shape[0] == 1:
-        return _composite(_feature_distances(x, centroids), d_time, alpha_time).argmin(axis=1)
+    if centroids.shape[0] == 1:  # a one-column row rescales to 0
+        return np.zeros(x.shape[0], dtype=np.intp)
 
+    d_time = np.abs(t[:, None] - taus[None, :])
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
     g = x_sq[:, None] - 2.0 * (x @ centroids.T) + c_sq[None, :]
     np.sqrt(np.maximum(g, 0.0, out=g), out=g)
@@ -204,23 +204,6 @@ def _assign(
         exact = _composite(_feature_distances(x[rows], centroids), d_time[rows], alpha_time)
         best[rows] = exact.argmin(axis=1)
     return best
-
-
-def composite_distances(
-    frame_vec, timestamp: float, centroids, time_centroids, alpha_time: float
-) -> np.ndarray:
-    """Composite distance from one flattened frame to each of k centroids."""
-    x = np.asarray(frame_vec, dtype=np.float64).reshape(1, -1)
-    c = np.asarray(centroids, dtype=np.float64)
-    if c.ndim != 2 or c.shape[1] != x.shape[1]:
-        raise DimensionMismatchError(
-            f"centroids shape {c.shape} incompatible with frame vector of length {x.shape[1]}"
-        )
-    taus = np.asarray(time_centroids, dtype=np.float64).reshape(-1)
-    if taus.shape[0] != c.shape[0]:
-        raise DimensionMismatchError("need exactly one time centroid per feature centroid")
-    t = np.asarray([timestamp], dtype=np.float64)
-    return _composite_matrix(x, t, c, taus, alpha_time)[0]
 
 
 def _kmeanspp_indices(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -265,14 +248,7 @@ def kmeanspp_init(
     return x[idx].reshape(k, p, d), block.timestamps[idx], idx
 
 
-IterationHook = Callable[[int, np.ndarray, np.ndarray, np.ndarray, float], None]
-
-
-def cluster(
-    frames: FrameBlock | Sequence[FrameFeature],
-    config: ClusterConfig,
-    on_iteration: IterationHook | None = None,
-) -> ClusterResult:
+def cluster(frames: FrameBlock | Sequence[FrameFeature], config: ClusterConfig) -> ClusterResult:
     """Run time-weighted K-means over a chronological frame stream.
 
     Each iteration assigns every frame to the composite-distance argmin
@@ -286,10 +262,6 @@ def cluster(
 
     drops to ``config.epsilon`` or below (checked after each update), or
     after ``config.max_iters`` iterations.
-
-    ``on_iteration(iteration, assignments, centroids, taus, delta)`` fires
-    after every update with the assignments that produced it; tests use the
-    hook to compare against reference runs iteration by iteration.
     """
     block = FrameBlock.of(frames)
     n, p, d = block.features.shape
@@ -330,8 +302,6 @@ def cluster(
         )
         centroids, taus = new_centroids, new_taus
         iterations += 1
-        if on_iteration is not None:
-            on_iteration(iterations, assignments.copy(), centroids.copy(), taus.copy(), delta)
         if delta <= config.epsilon:
             break
 

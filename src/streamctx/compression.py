@@ -21,6 +21,7 @@ from .clustering import Event
 from .errors import DimensionMismatchError, InvalidConfigError, ProviderError
 from .providers import SUMMARY_PROMPT, Summarizer, TextEmbedder, provider_call
 from .store import mean_pool
+from .text import has_word
 
 logger = logging.getLogger(__name__)
 
@@ -111,11 +112,12 @@ def embed_question(question: str, embedder: TextEmbedder) -> np.ndarray:
 
     The caller picks the embedder; the local fallback is a
     ``HashingQuestionEmbedder`` at the raw feature dimension, the space of the
-    fallback event embeddings.  Any embedder failure, or a reply that is not
-    a finite vector, is a ``ProviderError``.
+    fallback event embeddings.  A question with no word (``QARecord``'s rule)
+    is a ``ValueError`` before the embedder runs; any embedder failure, or a
+    reply that is not a finite vector, is a ``ProviderError``.
     """
-    if not question or not question.strip():
-        raise ValueError("question text must be non-empty")
+    if not has_word(question):
+        raise ValueError(f"question must hold a word, got {question!r}")
     with provider_call("question embedder failed"):
         vector = np.asarray(embedder.embed(question), dtype=np.float64).reshape(-1)
     return _finite(vector, "question embedder reply")

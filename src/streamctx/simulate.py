@@ -73,7 +73,6 @@ from .store import (
     check_fields,
     encode,
     from_json,
-    load_session_frames,
 )
 
 logger = logging.getLogger(__name__)
@@ -249,21 +248,20 @@ def simulate(
     stream_index: int,
     config: EngineConfig = EngineConfig(),
     *,
-    base_dir=None,
-    frames: Mapping[int, FrameBlock | Sequence[FrameFeature]] | None = None,
+    frames: Mapping[int, FrameBlock | Sequence[FrameFeature]],
     providers: ProviderSet | None = None,
 ) -> SimulationReport:
     """Replay one dialogue stream end to end.
 
-    Frames come either from ``frames`` directly or from the manifest's
-    embedding files resolved against ``base_dir``; segments that disagree on
-    (patches, dim) raise before any question.  A ``StreamContextError``
-    inside one question's pipeline aborts that question (recorded with its
-    error kind) and the stream moves on; the dialogue history then carries
-    the dataset's gold answer so later questions still see the turn.  Any
-    other exception is a bug and propagates.  The clustering, events and
-    event embeddings of the latest visible prefix are kept for the next
-    question, and only a question that completes stores them.
+    ``frames`` maps each segment id to its frames, as ``load_session_frames``
+    returns them; segments that disagree on (patches, dim) raise before any
+    question.  A ``StreamContextError`` inside one question's pipeline
+    aborts that question (recorded with its error kind) and the stream
+    moves on; the dialogue history then carries the dataset's gold answer
+    so later questions still see the turn.  Any other exception is a bug
+    and propagates.  The clustering, events and event embeddings of the
+    latest visible prefix are kept for the next question, and only a
+    question that completes stores them.
     """
     if not 0 <= stream_index < len(manifest.dialogue_streams):
         raise InvalidConfigError(
@@ -272,10 +270,6 @@ def simulate(
         )
     prov = providers or ProviderSet()
     select = retrieval_policy(config, prov.retriever)
-    if frames is None:
-        if base_dir is None:
-            raise InvalidConfigError("need either preloaded frames or a base_dir to load from")
-        frames = load_session_frames(manifest, base_dir)
     compression = config.compression_config()
 
     guard = _FrameGuard(manifest, frames)
@@ -385,83 +379,114 @@ _CONFUSION_SCHEMA = {
     },
 }
 
+#: What ``simulate`` adds to a record when its question completes.
+_COMPLETED_FIELDS = [
+    "num_frames", "k", "cluster_iterations", "cluster_delta", "num_events", "preserved_events",
+    "pooled_events", "compression_ratio", "visual_tokens", "text_tokens", "retrieval",
+    "retrieval_confusion", "answer", "answer_provider",
+]
+
+_RECORD_SCHEMA = {
+    "required": ["qa_id", "qa_type", "ask_time", "history_size", "gold_relevant"],
+    # a record either failed or holds everything a completed question adds
+    "if": {"required": ["error"]},
+    "else": {"required": _COMPLETED_FIELDS},
+    "properties": {
+        "qa_id": {"type": "integer"},
+        "qa_type": {"type": "string"},
+        "ask_time": {"type": "number"},
+        "history_size": {"type": "integer", "minimum": 0},
+        "gold_relevant": {"type": "array", "items": {"type": "integer"}},
+        "num_frames": {"type": "integer", "minimum": 1},
+        "k": {"type": "integer", "minimum": 1},
+        "cluster_iterations": {"type": "integer", "minimum": 1},
+        "cluster_delta": {"type": "number", "minimum": 0},
+        "num_events": {"type": "integer", "minimum": 1},
+        "preserved_events": {"type": "integer", "minimum": 0},
+        "pooled_events": {"type": "integer", "minimum": 0},
+        "compression_ratio": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+        "visual_tokens": {"type": "integer", "minimum": 0},
+        "text_tokens": {"type": "integer", "minimum": 0},
+        "retrieval": {
+            "type": "object",
+            "required": ["selected_ids", "delta"],
+            "properties": {
+                "selected_ids": {"type": "array", "items": {"type": "integer"}},
+                "delta": {"enum": [0, 1]},
+            },
+        },
+        "retrieval_confusion": _CONFUSION_SCHEMA,
+        "answer": {"type": "string", "minLength": 1},
+        "answer_provider": {"type": "string"},
+        "error": {
+            "type": "object",
+            "required": ["type", "message"],
+            "properties": {"type": {"type": "string"}, "message": {"type": "string"}},
+        },
+        "wall_ms": {"type": "number", "minimum": 0},
+    },
+}
+
+_SUMMARY_SCHEMA = {
+    "required": ["video_id", "stream_index", "questions", "failed_questions", "leakage_violations"],
+    "properties": {
+        "video_id": {"type": "string"},
+        "stream_index": {"type": "integer", "minimum": 0},
+        "questions": {"type": "integer", "minimum": 0},
+        "failed_questions": {"type": "integer", "minimum": 0},
+        "leakage_violations": {"type": "integer", "minimum": 0},
+        "retrieval": {"oneOf": [_CONFUSION_SCHEMA, {"type": "null"}]},
+        "mean_compression_ratio": {"type": ["number", "null"]},
+        "mean_tokens_per_question": {"type": ["number", "null"]},
+        "config": {"type": "object"},
+    },
+}
+
+#: A report line is a record or the summary; its ``kind`` picks the schema.
 REPORT_LINE_SCHEMA = {
-    "oneOf": [
-        {
-            "type": "object",
-            "required": ["kind", "qa_id", "qa_type", "ask_time", "history_size", "gold_relevant"],
-            "properties": {
-                "kind": {"const": "record"},
-                "qa_id": {"type": "integer"},
-                "qa_type": {"type": "string"},
-                "ask_time": {"type": "number"},
-                "history_size": {"type": "integer", "minimum": 0},
-                "gold_relevant": {"type": "array", "items": {"type": "integer"}},
-                "num_frames": {"type": "integer", "minimum": 1},
-                "k": {"type": "integer", "minimum": 1},
-                "cluster_iterations": {"type": "integer", "minimum": 1},
-                "cluster_delta": {"type": "number", "minimum": 0},
-                "num_events": {"type": "integer", "minimum": 1},
-                "preserved_events": {"type": "integer", "minimum": 0},
-                "pooled_events": {"type": "integer", "minimum": 0},
-                "compression_ratio": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                "visual_tokens": {"type": "integer", "minimum": 0},
-                "text_tokens": {"type": "integer", "minimum": 0},
-                "retrieval": {
-                    "type": "object",
-                    "required": ["selected_ids", "delta"],
-                    "properties": {
-                        "selected_ids": {"type": "array", "items": {"type": "integer"}},
-                        "delta": {"enum": [0, 1]},
-                    },
-                },
-                "retrieval_confusion": _CONFUSION_SCHEMA,
-                "answer": {"type": "string", "minLength": 1},
-                "answer_provider": {"type": "string"},
-                "error": {
-                    "type": "object",
-                    "required": ["type", "message"],
-                    "properties": {"type": {"type": "string"}, "message": {"type": "string"}},
-                },
-                "wall_ms": {"type": "number", "minimum": 0},
-            },
-        },
-        {
-            "type": "object",
-            "required": [
-                "kind", "video_id", "stream_index", "questions",
-                "failed_questions", "leakage_violations",
-            ],
-            "properties": {
-                "kind": {"const": "summary"},
-                "video_id": {"type": "string"},
-                "stream_index": {"type": "integer", "minimum": 0},
-                "questions": {"type": "integer", "minimum": 0},
-                "failed_questions": {"type": "integer", "minimum": 0},
-                "leakage_violations": {"type": "integer", "minimum": 0},
-                "retrieval": {"oneOf": [_CONFUSION_SCHEMA, {"type": "null"}]},
-                "mean_compression_ratio": {"type": ["number", "null"]},
-                "mean_tokens_per_question": {"type": ["number", "null"]},
-                "config": {"type": "object"},
-            },
-        },
-    ]
+    "type": "object",
+    "required": ["kind"],
+    "properties": {"kind": {"enum": ["record", "summary"]}},
+    "allOf": [
+        {"if": {"required": ["kind"], "properties": {"kind": {"const": kind}}}, "then": schema}
+        for kind, schema in (("record", _RECORD_SCHEMA), ("summary", _SUMMARY_SCHEMA))
+    ],
 }
 
 
-def validate_report(report: SimulationReport | Sequence[str]) -> None:
-    """Check every report line against the schema; raises on the first defect."""
+def validate_report(report: SimulationReport | Sequence[str | dict]) -> None:
+    """Check every report line against the schema; raises on the first defect.
+
+    One validator serves every line; ``REPORT_LINE_SCHEMA`` itself is
+    checked against its meta-schema by a test, not here.
+    """
     import jsonschema
 
+    validator = jsonschema.Draft202012Validator(REPORT_LINE_SCHEMA)
     lines = report.lines() if isinstance(report, SimulationReport) else list(report)
     for line in lines:
-        jsonschema.validate(json.loads(line) if isinstance(line, str) else line, REPORT_LINE_SCHEMA)
+        obj = json.loads(line) if isinstance(line, str) else line
+        error = jsonschema.exceptions.best_match(validator.iter_errors(obj))
+        if error is not None:
+            raise error
 
 
 def load_report_records(path) -> list[dict]:
-    """Records (not the summary) from a JSON-lines report file."""
-    objs = [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
-    return [obj for obj in objs if obj.get("kind") == "record"]
+    """Records (not the summary) from a JSON-lines report file.
+
+    Every line must pass ``validate_report``; a line that is not JSON or not
+    a report line is a ``ValueError`` naming the file.
+    """
+    import jsonschema
+
+    try:
+        objs = [json.loads(line) for line in Path(path).read_text().splitlines() if line.strip()]
+        validate_report(objs)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"report {path}: {exc}") from exc
+    except jsonschema.ValidationError as exc:
+        raise ValueError(f"report {path}: {exc.message}") from exc
+    return [obj for obj in objs if obj["kind"] == "record"]
 
 
 def summarize_records(records: Sequence[dict]) -> dict:
@@ -474,7 +499,6 @@ def summarize_records(records: Sequence[dict]) -> dict:
     confusions = [
         RetrievalMetrics(**{key: r["retrieval_confusion"][key] for key in ("tp", "fp", "fn", "tn")})
         for r in ok
-        if "retrieval_confusion" in r
     ]
     corpus = micro_metrics(confusions) if confusions else None
     return {

@@ -369,18 +369,6 @@ def mean_pool(rows) -> np.ndarray:
     return arr.mean(axis=0)
 
 
-def minmax_normalize(values) -> np.ndarray:
-    """Rescale values to [0, 1]; a constant input maps to all zeros."""
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    if arr.size == 0:
-        raise ValueError("minmax_normalize requires at least one value")
-    low = arr.min()
-    span = arr.max() - low
-    if span == 0.0:
-        return np.zeros_like(arr)
-    return (arr - low) / span
-
-
 # ---------------------------------------------------------------------------
 # binary embedding files
 

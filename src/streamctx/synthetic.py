@@ -13,7 +13,6 @@ form whose ground truth is known exactly:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -52,6 +51,8 @@ _GLOBAL_TYPES = ("global-analysis", "overall-summary")
 #: Feature-space scale of planted event centers vs. within-event noise.
 _CENTER_SCALE = 10.0
 _NOISE_SCALE = 0.1
+#: Length of every synthetic segment, in seconds.
+_SEGMENT_SECONDS = 10.0
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,6 @@ class SyntheticSpec:
     streaming_per_segment: int = 2
     global_count: int = 0
     num_streams: int = 1
-    segment_seconds: float = 10.0
     seed: int = 0
 
     def __post_init__(self):
@@ -79,8 +79,6 @@ class SyntheticSpec:
             raise InvalidConfigError("QA counts must be >= 0")
         if self.num_streams < 1:
             raise InvalidConfigError("num_streams must be >= 1")
-        if not (self.segment_seconds > 0 and math.isfinite(self.segment_seconds)):
-            raise InvalidConfigError("segment_seconds must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,9 +177,9 @@ def build_synthetic(spec: SyntheticSpec = SyntheticSpec()) -> SyntheticSession:
     planted: list[int] = []
     event_label = 0
     for s in range(1, spec.segments + 1):
-        start = (s - 1) * spec.segment_seconds
-        end = s * spec.segment_seconds
-        step = spec.segment_seconds / spec.frames_per_segment
+        start = (s - 1) * _SEGMENT_SECONDS
+        end = s * _SEGMENT_SECONDS
+        step = _SEGMENT_SECONDS / spec.frames_per_segment
         # contiguous frame blocks per event, sized as evenly as possible
         block = spec.frames_per_segment / spec.events_per_segment
         centers = [

@@ -1,12 +1,14 @@
+import builtins
 import json
 
 import numpy as np
 import pytest
 
-from streamctx import cli
+from streamctx import cli, errors
 from streamctx.cli import build_parser, main
 from streamctx.paths import RELEVANCE_THRESHOLD, PathConfig
-from streamctx.store import FrameFeature, load_manifest, save_embeddings
+from streamctx.simulate import simulate
+from streamctx.store import FrameFeature, load_manifest, load_session_frames, save_embeddings
 from streamctx.synthetic import SyntheticSpec, build_synthetic, make_synthetic
 
 
@@ -272,6 +274,93 @@ class TestSimulateAndEval:
         assert json.loads(err)["error"] == "InvalidConfigError"
 
 
+@pytest.fixture(scope="module")
+def report_file(corpus, tmp_path_factory):
+    """A good report of the corpus's first stream."""
+    manifest = load_manifest(corpus / "manifest.json")
+    path = tmp_path_factory.mktemp("report") / "report.jsonl"
+    simulate(manifest, 0, frames=load_session_frames(manifest, corpus)).write(path)
+    return path
+
+
+def _file(directory, name, content) -> str:
+    path = directory / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return str(path)
+
+
+def _segment(corpus) -> str:
+    return str(corpus / "embeddings" / "segment_001.bin")
+
+
+def _manifest(corpus) -> str:
+    return str(corpus / "manifest.json")
+
+
+#: Every subcommand fed bad input: (command, case, expected error, the
+#: arguments after the command, built from the corpus, a good report and a
+#: scratch directory).
+BAD_INPUT = [
+    ("eval", "line-not-an-object", "ValueError",
+     lambda c, r, t: [_file(t, "r.jsonl", "[1]\n")]),
+    ("eval", "incomplete-record", "ValueError",
+     lambda c, r, t: [_file(t, "r.jsonl", '{"kind": "record", "qa_id": 1}\n')]),
+    ("eval", "stray-summary-line", "ValueError",
+     lambda c, r, t: [_file(t, "r.jsonl", r.read_text() + '{"kind": "summary"}\n')]),
+    ("eval", "line-not-json", "ValueError",
+     lambda c, r, t: [_file(t, "r.jsonl", r.read_text() + "not json\n")]),
+    ("compress", "question-without-a-word", "ValueError",
+     lambda c, r, t: ["--embeddings", _segment(c), "--question", "???"]),
+    ("compress", "truncated-file", "TruncatedPayloadError",
+     lambda c, r, t: [
+         "--question", "what", "--embeddings",
+         _file(t, "cut.bin", (c / "embeddings" / "segment_001.bin").read_bytes()[:-7]),
+     ]),
+    ("cluster", "not-a-cgse-file", "BadMagicError",
+     lambda c, r, t: ["--embeddings", _file(t, "x.bin", b"NOPE" + bytes(40))]),
+    ("cluster", "k-above-frame-count", "InvalidConfigError",
+     lambda c, r, t: ["--embeddings", _segment(c), "--k", "11"]),
+    ("simulate", "manifest-is-a-list", "ManifestError",
+     lambda c, r, t: ["--manifest", _file(t, "manifest.json", "[]")]),
+    ("simulate", "config-is-a-list", "InvalidConfigError",
+     lambda c, r, t: ["--manifest", _manifest(c), "--config", _file(t, "c.json", "[]")]),
+    ("simulate", "config-value-of-wrong-type", "InvalidConfigError",
+     lambda c, r, t: [
+         "--manifest", _manifest(c), "--config", _file(t, "c.json", '{"max_iters": "9"}'),
+     ]),
+    ("simulate", "stream-out-of-range", "InvalidConfigError",
+     lambda c, r, t: ["--manifest", _manifest(c), "--stream", "9"]),
+    ("retrieve", "qa-id-not-on-stream", "InvalidConfigError",
+     lambda c, r, t: ["--manifest", _manifest(c), "--qa-id", "999"]),
+    ("score-relevance", "manifest-is-a-list", "ManifestError",
+     lambda c, r, t: ["--manifest", _file(t, "manifest.json", "[]")]),
+    ("build-paths", "zero-paths", "InvalidConfigError",
+     lambda c, r, t: ["--manifest", _manifest(c), "--num-paths", "0", "--out", str(t / "m.json")]),
+    ("make-synthetic", "zero-segments", "InvalidConfigError",
+     lambda c, r, t: ["--out-dir", str(t / "s"), "--segments", "0"]),
+]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "command,case,error,args", BAD_INPUT, ids=[f"{cmd}-{case}" for cmd, case, *_ in BAD_INPUT]
+    )
+    def test_bad_input_is_one_json_error_line(
+        self, corpus, report_file, capsys, tmp_path, command, case, error, args
+    ):
+        code, out, err = run(capsys, command, *args(corpus, report_file, tmp_path))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        obj = json.loads(err)
+        assert set(obj) == {"error", "message"} and obj["message"]
+        cls = getattr(errors, obj["error"], None) or getattr(builtins, obj["error"])
+        assert issubclass(cls, (errors.StreamContextError, ValueError, OSError))
+        assert obj["error"] == error
+
+
 class TestParser:
     def test_defaults_come_from_their_sources(self, monkeypatch, tmp_path):
         parser = build_parser()
@@ -317,6 +406,7 @@ class TestParser:
             # not an abbreviation of --out-dir
             ["make-synthetic", "--out-dir", "d", "--out", "y"],
             ["build-paths", "--manifest", "m.json", "--config", "c.json"],
+            ["retrieve", "--manifest", "m.json", "--qa-id", "1", "--seed", "1"],
         ],
     )
     def test_a_flag_the_command_does_not_read_is_a_usage_error(

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,6 @@ from streamctx.clustering import (
     ClusterResult,
     choose_k,
     cluster,
-    composite_distances,
     events_from,
     kmeanspp_init,
 )
@@ -76,8 +76,18 @@ class TestCompositeDistances:
     CENTROIDS = [[0.0], [4.0]]
     TAUS = [0.0, 100.0]
 
+    @staticmethod
+    def composite(frame, timestamp, centroids, taus, alpha):
+        return clustering._composite_matrix(
+            np.asarray([frame], dtype=np.float64),
+            np.asarray([timestamp], dtype=np.float64),
+            np.asarray(centroids, dtype=np.float64),
+            np.asarray(taus, dtype=np.float64),
+            alpha,
+        )[0]
+
     def dist(self, alpha):
-        return composite_distances([1.0], 90.0, self.CENTROIDS, self.TAUS, alpha)
+        return self.composite([1.0], 90.0, self.CENTROIDS, self.TAUS, alpha)
 
     def test_balanced_weight_ties(self):
         assert self.dist(1.0).tolist() == [1.0, 1.0]
@@ -96,19 +106,13 @@ class TestCompositeDistances:
         assert self.dist(0.0).tolist() == [0.0, 1.0]
 
     def test_equidistant_everything_gives_zeros(self):
-        d = composite_distances([3.0], 50.0, [[2.0], [4.0]], [40.0, 60.0], 1.0)
+        d = self.composite([3.0], 50.0, [[2.0], [4.0]], [40.0, 60.0], 1.0)
         assert d.tolist() == [0.0, 0.0]
 
     def test_single_cluster_distance_is_zero(self):
         # a one-column row is constant, so min-max sends it to zero
-        d = composite_distances([9.0], 5.0, [[0.0]], [0.0], 1.0)
+        d = self.composite([9.0], 5.0, [[0.0]], [0.0], 1.0)
         assert d.tolist() == [0.0]
-
-    def test_shape_errors(self):
-        with pytest.raises(DimensionMismatchError):
-            composite_distances([1.0, 2.0], 0.0, [[1.0]], [0.0], 1.0)
-        with pytest.raises(DimensionMismatchError):
-            composite_distances([1.0], 0.0, [[1.0], [2.0]], [0.0], 1.0)
 
 
 @st.composite
@@ -283,17 +287,14 @@ class TestCluster:
             config = ClusterConfig(k=k, alpha_time=0.0, seed=seed)
             expected = _plain_kmeans_trace(frames, config)
 
-            seen = []
-            cluster(
-                frames,
-                config,
-                on_iteration=lambda it, a, c, taus, d: seen.append((a, c, d)),
-            )
-            assert len(seen) == len(expected)
-            for (a1, c1, d1), (a2, c2, d2) in zip(seen, expected):
-                assert np.array_equal(a1, a2)
-                assert np.array_equal(c1.reshape(c2.shape), c2)
-                assert d1 == d2
+            # a run cut at max_iters=i ends in the state of iteration i
+            assert cluster(frames, config).iterations == len(expected)
+            for i, (a2, c2, d2) in enumerate(expected, start=1):
+                res = cluster(frames, replace(config, max_iters=i))
+                assert res.iterations == i
+                assert np.array_equal(res.assignments, a2)
+                assert np.array_equal(res.feature_centroids.reshape(c2.shape), c2)
+                assert res.final_delta == d2
 
     def test_temporal_split_of_identical_features(self):
         # identical features everywhere: only timestamps can separate the
@@ -348,18 +349,6 @@ class TestCluster:
         assert np.array_equal(a.assignments, b.assignments)
         assert np.array_equal(a.feature_centroids, b.feature_centroids)
         assert a.final_delta == b.final_delta and a.iterations == b.iterations
-
-    def test_hook_trace_matches_result(self):
-        frames = make_frames(20, seed=4)
-        seen = []
-        res = cluster(
-            frames,
-            ClusterConfig(k=3, seed=1),
-            on_iteration=lambda it, a, c, taus, d: seen.append((it, a, d)),
-        )
-        assert [it for it, _, _ in seen] == list(range(1, res.iterations + 1))
-        assert seen[-1][2] == res.final_delta
-        assert np.array_equal(seen[-1][1], res.assignments)
 
     def test_k_exceeding_frames_rejected(self):
         with pytest.raises(InvalidConfigError):

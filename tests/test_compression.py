@@ -111,8 +111,17 @@ class TestEmbedQuestion:
         assert vector.dtype == np.float64 and vector.tolist() == [1.0, 0.0]
 
     def test_empty_question_rejected(self):
-        with pytest.raises(ValueError):
-            embed_question("   ", HashingQuestionEmbedder(4))
+        class Unreachable:
+            provider_id = "unreachable"
+
+            def embed(self, text):
+                raise AssertionError("the embedder ran")
+
+        for question in ("", "   ", "???"):
+            with pytest.raises(ValueError, match="word"):
+                embed_question(question, HashingQuestionEmbedder(4))
+            with pytest.raises(ValueError, match="word"):
+                embed_question(question, Unreachable())
 
 
 class TestCompressStream:

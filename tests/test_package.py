@@ -12,6 +12,9 @@ DELETED = [
     ("streamctx.paths", "RelevancePair"),
     ("streamctx.providers", "AnswerJudge"),
     ("streamctx.providers", "JUDGE_ASPECTS"),
+    ("streamctx.clustering", "composite_distances"),
+    ("streamctx.clustering", "IterationHook"),
+    ("streamctx.store", "minmax_normalize"),
 ]
 
 
@@ -37,3 +40,9 @@ def test_deleted_members_are_gone():
     assert list(inspect.signature(streamctx.embed_question).parameters) == ["question", "embedder"]
     assert list(inspect.signature(streamctx.embed_event).parameters) == ["event", "summarizer"]
     assert list(inspect.signature(streamctx.render_layout).parameters) == ["package"]
+    assert list(inspect.signature(streamctx.cluster).parameters) == ["frames", "config"]
+    params = inspect.signature(streamctx.simulate).parameters
+    assert "base_dir" not in params
+    assert params["frames"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert params["frames"].default is inspect.Parameter.empty
+    assert "segment_seconds" not in {f.name for f in dataclasses.fields(streamctx.SyntheticSpec)}

@@ -13,6 +13,7 @@ from streamctx.errors import DimensionMismatchError, InvalidConfigError, Provide
 from streamctx.providers import EchoGenerator, HashingQuestionEmbedder
 from streamctx.retrieval import DialogueHistory, RetrievalMetrics, micro_metrics
 from streamctx.simulate import (
+    REPORT_LINE_SCHEMA,
     RETRIEVAL_MODES,
     VOLATILE_FIELDS,
     EngineConfig,
@@ -319,14 +320,13 @@ class TestSimulateModes:
 
     def test_frames_can_load_from_disk(self, tmp_path):
         session = make_synthetic(SyntheticSpec(segments=2, seed=1), out_dir=tmp_path)
-        report = simulate(session.manifest, 0, EngineConfig(), base_dir=tmp_path)
+        frames = load_session_frames(session.manifest, tmp_path)
+        report = simulate(session.manifest, 0, EngineConfig(), frames=frames)
         assert report.summary["failed_questions"] == 0
 
     def test_input_validation(self, default_session):
         with pytest.raises(InvalidConfigError):
             simulate(default_session.manifest, 5, frames=default_session.frames)
-        with pytest.raises(InvalidConfigError):
-            simulate(default_session.manifest, 0)  # no frames, no base_dir
 
 
 class TestSimulateFailureModes:
@@ -511,6 +511,10 @@ class TestReportSchema:
         broken["compression_ratio"] = 0  # schema demands exclusiveMinimum 0
         with pytest.raises(jsonschema.ValidationError):
             validate_report([json.dumps(broken)])
+
+    def test_schema_is_a_valid_schema(self):
+        # validate_report compiles the schema without checking it
+        jsonschema.Draft202012Validator.check_schema(REPORT_LINE_SCHEMA)
 
     def test_summary_line_is_last(self, default_session):
         report = simulate(

