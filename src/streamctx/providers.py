@@ -45,7 +45,11 @@ class Summarizer(Protocol):
     provider_id: str
 
     def hidden_states(self, features: np.ndarray, prompt: str) -> np.ndarray:
-        """Map (tokens, dim) features + a prompt to (tokens', hidden) states."""
+        """Map (tokens, dim) features + a prompt to (tokens', hidden) states.
+
+        The states must be a pure function of the features and the prompt:
+        ``simulate`` summarizes each set of event members once per stream.
+        """
 
 
 @runtime_checkable

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import logging
 import re
-from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import RetrievalParseError
 from .providers import Retriever, provider_call
-from .text import counts_cosine, term_frequencies, tokenize
+from .text import term_frequencies, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -46,20 +47,86 @@ class HistoryItem:
     answer: str
     ask_time: float
 
-    @cached_property
-    def terms(self) -> Counter[str]:
-        """Term counts of ``question + " " + answer``, counted once per item."""
-        return term_frequencies(f"{self.question} {self.answer}")
+
+class _TermIndex:
+    """Term counts of a history's items, one sparse row per item, append-only.
+
+    Each item's ``question + " " + answer`` is counted once, when its row is
+    appended.  The nonzero counts of all rows sit end to end in three arrays
+    (column, count, row) that grow by doubling; ``_ends[r]`` is where row
+    ``r``'s entries stop.  A history of ``n`` items reads rows ``[:n]`` only,
+    so one index can serve a history and every longer history extended from
+    it.
+    """
+
+    def __init__(self, items: Iterable[HistoryItem] = ()):
+        self.columns: dict[str, int] = {}
+        self.qa_ids: list[int] = []
+        self._cols = np.empty(64, dtype=np.int64)
+        self._counts = np.empty(64, dtype=np.int64)
+        self._rows = np.empty(64, dtype=np.int64)
+        self._ends: list[int] = []
+        self._norms_sq = np.empty(16, dtype=np.int64)
+        for item in items:
+            self.append(item)
+
+    def __len__(self) -> int:
+        return len(self.qa_ids)
+
+    def append(self, item: HistoryItem) -> None:
+        terms = term_frequencies(f"{item.question} {item.answer}")
+        row, start = len(self.qa_ids), self._ends[-1] if self._ends else 0
+        stop = start + len(terms)
+        if stop > len(self._cols):
+            size = max(stop, 2 * len(self._cols))
+            self._cols, self._counts, self._rows = (
+                np.resize(a, size) for a in (self._cols, self._counts, self._rows)
+            )
+        if row == len(self._norms_sq):
+            self._norms_sq = np.resize(self._norms_sq, 2 * row)
+        self._cols[start:stop] = [self.columns.setdefault(t, len(self.columns)) for t in terms]
+        self._counts[start:stop] = list(terms.values())
+        self._rows[start:stop] = row
+        self._norms_sq[row] = sum(c * c for c in terms.values())
+        self._ends.append(stop)
+        self.qa_ids.append(item.qa_id)
+
+    def overlaps(self, question: str, n: int) -> np.ndarray:
+        """``tf_cosine(question, item text)`` for the first ``n`` items, bitwise.
+
+        The dot over the question's known terms and both squared norms are
+        integers.  The dot sums in float64 (``bincount``), which is exact
+        while every partial sum stays below 2**53; the norm product is an
+        exact int64.  Each becomes a float64 once, followed by one correctly
+        rounded square root and one division, the same operations
+        ``tf_cosine`` performs.  An item or question without terms scores 0.
+        """
+        asked = term_frequencies(question)
+        weights = np.zeros(len(self.columns), dtype=np.int64)
+        for term, count in asked.items():
+            if term in self.columns:
+                weights[self.columns[term]] = count
+        stop = self._ends[n - 1] if n else 0
+        products = self._counts[:stop] * weights[self._cols[:stop]]
+        dots = np.bincount(self._rows[:stop], weights=products, minlength=n)
+        norms_sq = self._norms_sq[:n] * sum(c * c for c in asked.values())
+        norms = np.sqrt(norms_sq.astype(np.float64))
+        return np.divide(dots, norms, out=np.zeros(n), where=norms > 0)
 
 
 @dataclass(frozen=True)
 class DialogueHistory:
+    """The past turns, unique by ``qa_id``, in non-decreasing ask time.
+
+    The term index behind ``lexical_fallback`` is built on first use and
+    handed on by ``extended``, which appends the new turn's row to it.
+    """
+
     items: tuple[HistoryItem, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
-        ids = [i.qa_id for i in self.items]
-        if len(set(ids)) != len(ids):
+        if len(self.ids) != len(self.items):
             raise ValueError("dialogue history repeats a qa_id")
         times = [i.ask_time for i in self.items]
         if any(b < a for a, b in zip(times, times[1:])):
@@ -71,12 +138,32 @@ class DialogueHistory:
     def __iter__(self):
         return iter(self.items)
 
-    @property
+    @cached_property
     def ids(self) -> frozenset[int]:
         return frozenset(i.qa_id for i in self.items)
 
+    @cached_property
+    def _index(self) -> _TermIndex:
+        return _TermIndex(self.items)
+
     def extended(self, item: HistoryItem) -> "DialogueHistory":
-        return DialogueHistory(self.items + (item,))
+        """This history plus ``item``; only the new turn is checked.
+
+        The child takes over this history's index when the index holds
+        exactly this history's items, as it does along a replayed stream; a
+        second extension of the same history builds its own on first use.
+        """
+        if item.qa_id in self.ids:
+            raise ValueError("dialogue history repeats a qa_id")
+        if self.items and item.ask_time < self.items[-1].ask_time:
+            raise ValueError("dialogue history ask times must be non-decreasing")
+        child = object.__new__(DialogueHistory)
+        object.__setattr__(child, "items", self.items + (item,))
+        index = self.__dict__.get("_index")
+        if index is not None and len(index) == len(self):
+            index.append(item)
+            child.__dict__["_index"] = index
+        return child
 
 
 @dataclass(frozen=True)
@@ -153,13 +240,13 @@ def lexical_fallback(
     DELTA_OVERLAP *and* the question contains one of the fixed recall cues —
     near-verbatim repetition alone is not treated as dialogue recall.
     """
-    asked = term_frequencies(question)
-    overlaps = {item.qa_id: counts_cosine(asked, item.terms) for item in history}
-    selected = frozenset(qa_id for qa_id, ov in overlaps.items() if ov >= threshold)
+    index = history._index
+    overlaps = index.overlaps(question, len(history))
+    selected = frozenset(index.qa_ids[i] for i in np.flatnonzero(overlaps >= threshold))
     normalized = " ".join(tokenize(question))
     delta = int(
-        bool(overlaps)
-        and max(overlaps.values()) > DELTA_OVERLAP
+        len(history) > 0
+        and overlaps.max() > DELTA_OVERLAP
         and any(cue in normalized for cue in RECALL_CUES)
     )
     return RetrievalOutput(selected_ids=selected, delta=delta)

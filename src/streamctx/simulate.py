@@ -11,8 +11,9 @@ The visual pipeline (clustering, events, event embeddings) depends only on
 the visible prefix, the number of finished segments, so it runs once per
 prefix and every later question on that prefix reuses it.  The clustering
 seed is keyed on the prefix too: two questions asked over the same frames
-see the same events.  A question that fails leaves nothing behind for the
-next one to reuse.
+see the same events.  An event summary depends only on the event's member
+frames, so each set of members is summarized once per stream.  A question
+that fails leaves nothing behind for the next one to reuse.
 
 Reports are JSON lines: one ``record`` object per question followed by one
 ``summary`` object.  Per-record wall-clock timings are diagnostics and are
@@ -260,8 +261,9 @@ def simulate(
     moves on; the dialogue history then carries the dataset's gold answer
     so later questions still see the turn.  Any other exception is a bug
     and propagates.  The clustering, events and event embeddings of the
-    latest visible prefix are kept for the next question, and only a
-    question that completes stores them.
+    latest visible prefix are kept for the next question, every event
+    summary is kept by its member frames for the rest of the stream, and
+    only a question that completes stores either.
     """
     if not 0 <= stream_index < len(manifest.dialogue_streams):
         raise InvalidConfigError(
@@ -281,6 +283,10 @@ def simulate(
     # a later prefix is visible no question returns to an earlier one: the
     # last completed prefix is the only one worth keeping.
     last: tuple[int, ClusterResult, list[Event], list[EventEmbedding]] | None = None
+    # An event that survives unchanged into a later prefix keeps its member
+    # frames, and a summary depends on those frames alone, so each member
+    # set is summarized once per stream.
+    summaries: dict[tuple[int, ...], EventEmbedding] = {}
 
     records: list[dict] = []
     for entry in path.entries:
@@ -301,13 +307,17 @@ def simulate(
                     f"no finished segment before ask_time {entry.ask_time}"
                 )
             k = choose_k(len(visible), config.cluster_ratio)
+            known = dict(summaries)
             if last is not None and last[0] == finished:
                 _, result, events, embeddings = last
             else:
                 seed = _question_seed(config.seed, finished)
                 result = cluster(visible, config.cluster_config(k, seed))
                 events = events_from(result, visible)
-                embeddings = [embed_event(ev, prov.summarizer) for ev in events]
+                for ev in events:
+                    if ev.frame_indices not in known:
+                        known[ev.frame_indices] = embed_event(ev, prov.summarizer)
+                embeddings = [known[ev.frame_indices] for ev in events]
             qvec = embed_question(qa.question, question_embedder)
             units = compress_stream(events, embeddings, qvec, compression)
             retrieval = select(history, qa.question, entry.gold_relevant)
@@ -339,7 +349,7 @@ def simulate(
                     "answer_provider": answer_record.provider_id,
                 }
             )
-            last = (finished, result, events, embeddings)
+            last, summaries = (finished, result, events, embeddings), known
         except StreamContextError as exc:
             logger.exception("question %d failed; continuing the stream", qa.qa_id)
             record["error"] = {"type": type(exc).__name__, "message": str(exc)}

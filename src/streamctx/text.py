@@ -33,11 +33,7 @@ def tf_cosine(text_a: str, text_b: str) -> float:
 
     Returns 0.0 when either side has no tokens at all.
     """
-    return counts_cosine(term_frequencies(text_a), term_frequencies(text_b))
-
-
-def counts_cosine(ca: Counter[str], cb: Counter[str]) -> float:
-    """``tf_cosine`` over term counts made beforehand; the dot runs over ``ca``."""
+    ca, cb = term_frequencies(text_a), term_frequencies(text_b)
     if not ca or not cb:
         return 0.0
     dot = sum(count * cb[term] for term, count in ca.items())

@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from streamctx import retrieval
 from streamctx.errors import ProviderError, RetrievalParseError
 from streamctx.retrieval import (
     DEFAULT_OVERLAP_THRESHOLD,
@@ -19,7 +22,7 @@ from streamctx.retrieval import (
     retrieve,
     score_retrieval,
 )
-from streamctx.text import term_frequencies, tf_cosine
+from streamctx.text import tf_cosine, tokenize
 
 
 def make_history(*triples):
@@ -45,6 +48,14 @@ class TestHistory:
     def test_time_order_enforced(self):
         with pytest.raises(ValueError):
             make_history(("q1", "a1", 20), ("q2", "a2", 10))
+
+    def test_extended_checks_the_new_turn(self):
+        h = make_history(("q1", "a1", 10), ("q2", "a2", 20))
+        with pytest.raises(ValueError, match="repeats a qa_id"):
+            h.extended(HistoryItem(1, "q3", "a3", 30.0))
+        with pytest.raises(ValueError, match="non-decreasing"):
+            h.extended(HistoryItem(3, "q3", "a3", 19.0))
+        assert h.extended(HistoryItem(3, "q3", "a3", 20.0)).ids == {1, 2, 3}
 
 
 class TestGrammar:
@@ -155,10 +166,20 @@ class TestLexicalFallback:
         out = lexical_fallback(DialogueHistory(), "anything at all")
         assert out == RetrievalOutput(frozenset(), 0)
 
-    def test_item_terms_are_counted_once(self):
-        item = OVERLAP_HISTORY.items[2]
-        assert item.terms is item.terms
-        assert item.terms == term_frequencies(f"{item.question} {item.answer}")
+    def test_index_counts_each_item_once_along_a_stream(self, monkeypatch):
+        counted = []
+        original = retrieval.term_frequencies
+        monkeypatch.setattr(
+            retrieval, "term_frequencies", lambda text: counted.append(text) or original(text)
+        )
+        history = DialogueHistory()
+        for item in OVERLAP_HISTORY:
+            lexical_fallback(history, OVERLAP_QUESTION)
+            history = history.extended(item)
+        lexical_fallback(history, OVERLAP_QUESTION)
+        item_texts = [f"{item.question} {item.answer}" for item in OVERLAP_HISTORY]
+        assert [text for text in counted if text != OVERLAP_QUESTION] == item_texts
+        assert counted.count(OVERLAP_QUESTION) == 4
 
     def test_overlaps_equal_text_cosine_bitwise(self):
         # selection at a threshold equal to each item's own overlap keeps it
@@ -284,3 +305,69 @@ def test_overlap_values_match_hand_arithmetic():
     assert mid == 6 / math.sqrt(9 * 24)
     low = tf_cosine(OVERLAP_QUESTION, "did the kitchen door stay open yes it stayed open")
     assert 0 < low < DEFAULT_OVERLAP_THRESHOLD
+
+
+# Few words, so random texts share terms and repeat them; "" and "?!" have none.
+_TEXTS = st.lists(st.sampled_from(["red", "Kettle", "on", "the", "stove", "9"]), max_size=6).map(
+    " ".join
+) | st.sampled_from(["", "?!", "you said red, RED red", "what did i ask"])
+
+
+def _reference_fallback(history, question, threshold):
+    """The per-item loop the term index replaced, one ``tf_cosine`` per item."""
+    overlaps = {i.qa_id: tf_cosine(question, f"{i.question} {i.answer}") for i in history}
+    normalized = " ".join(tokenize(question))
+    delta = int(
+        bool(overlaps)
+        and max(overlaps.values()) > DELTA_OVERLAP
+        and any(cue in normalized for cue in RECALL_CUES)
+    )
+    selected = frozenset(qa_id for qa_id, ov in overlaps.items() if ov >= threshold)
+    return RetrievalOutput(selected, delta)
+
+
+def _check_index(history, question, threshold):
+    overlaps = history._index.overlaps(question, len(history))
+    assert overlaps.tolist() == [
+        tf_cosine(question, f"{item.question} {item.answer}") for item in history
+    ]
+    got = lexical_fallback(history, question, threshold)
+    assert got == _reference_fallback(history, question, threshold)
+    assert got == lexical_fallback(DialogueHistory(history.items), question, threshold)
+
+
+@given(
+    turns=st.lists(st.tuples(_TEXTS, _TEXTS), max_size=8),
+    questions=st.lists(_TEXTS, min_size=1, max_size=3),
+    threshold=st.floats(0.0, 1.0),
+)
+def test_index_overlaps_are_bitwise_tf_cosine_on_every_prefix(turns, questions, threshold):
+    history = DialogueHistory()
+    for qa_id, (question, answer) in enumerate(turns):
+        for asked in questions:
+            _check_index(history, asked, threshold)
+        history = history.extended(HistoryItem(qa_id, question, answer, float(qa_id)))
+    for asked in questions:
+        _check_index(history, asked, threshold)
+
+
+@given(
+    turns=st.lists(st.tuples(_TEXTS, _TEXTS), max_size=5),
+    branches=st.lists(st.tuples(_TEXTS, _TEXTS), min_size=2, max_size=2),
+    question=_TEXTS,
+    threshold=st.floats(0.0, 1.0),
+)
+def test_branched_histories_score_only_their_own_items(turns, branches, question, threshold):
+    parent = DialogueHistory()
+    for qa_id, (q, a) in enumerate(turns):
+        lexical_fallback(parent, question, threshold)
+        parent = parent.extended(HistoryItem(qa_id, q, a, float(qa_id)))
+    lexical_fallback(parent, question, threshold)
+    first, second = (
+        parent.extended(HistoryItem(100 + i, q, a, 10.0)) for i, (q, a) in enumerate(branches)
+    )
+    # the first child took over the parent's index, the second builds its own
+    assert first._index is parent._index is not second._index
+    grandchild = first.extended(HistoryItem(200, *branches[1], 11.0))
+    for history in (parent, second, grandchild, first, parent):
+        _check_index(history, question, threshold)

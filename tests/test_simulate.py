@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 from collections import defaultdict
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamctx.compression import embed_event
 from streamctx.errors import DimensionMismatchError, InvalidConfigError, ProviderError
 from streamctx.providers import EchoGenerator, HashingQuestionEmbedder
 from streamctx.retrieval import DialogueHistory, RetrievalMetrics, micro_metrics
@@ -26,7 +28,7 @@ from streamctx.simulate import (
     validate_report,
 )
 from streamctx.store import DialoguePath, FrameFeature, PathEntry, load_session_frames
-from streamctx.synthetic import SyntheticSpec, make_synthetic
+from streamctx.synthetic import SyntheticSpec, build_synthetic, make_synthetic
 
 from conftest import other_json_type
 
@@ -555,6 +557,31 @@ class TestTracerContract:
         ]
 
 
+class CountingSummarizer:
+    """Returns its features unchanged and keeps a digest of every payload it
+    summarized; with ``fail_on`` set, that call (1-based) raises instead."""
+
+    provider_id = "counting"
+
+    def __init__(self, fail_on=None):
+        self.fail_on = fail_on
+        self.attempts = 0
+        self.payloads = []
+
+    def hidden_states(self, features, prompt):
+        self.attempts += 1
+        if self.attempts == self.fail_on:
+            raise ProviderError("summarizer down")
+        self.payloads.append(hashlib.blake2b(features.tobytes(), digest_size=16).digest())
+        return features
+
+
+@pytest.fixture(scope="module")
+def surviving_events():
+    """Two planted events per 30-frame segment: most events outlive their prefix."""
+    return build_synthetic(SyntheticSpec(segments=6, frames_per_segment=30))
+
+
 class TestPrefixReuse:
     """The visual pipeline runs once per visible prefix (finished-segment count)."""
 
@@ -639,6 +666,46 @@ class TestPrefixReuse:
         frame_counts = [len(args[0]) for args, _, _ in calls["cluster"]]
         assert frame_counts[:2] == [second["num_frames"]] * 2
         assert len(frame_counts) == len(set(frame_counts)) + 1 == 6
+
+    def test_each_member_set_is_summarized_once_per_stream(self, surviving_events, calls):
+        summarizer = CountingSummarizer()
+        report = simulate(
+            surviving_events.manifest,
+            0,
+            EngineConfig(),
+            frames=surviving_events.frames,
+            providers=ProviderSet(summarizer=summarizer),
+        )
+        assert report.summary["failed_questions"] == 0
+        events = [event for _, _, result in calls["events_from"] for event in result]
+        member_sets = {event.frame_indices for event in events}
+        assert len(summarizer.payloads) == len(set(summarizer.payloads)) == len(member_sets)
+        assert len(member_sets) < len(events)
+        # every question scores the embeddings a fresh summary gives
+        for args, _, _ in calls["compress_stream"]:
+            for event, embedding in zip(args[0], args[1]):
+                fresh = embed_event(event, CountingSummarizer())
+                assert np.array_equal(embedding.vector, fresh.vector)
+
+    def test_a_failed_question_keeps_no_summary(self, surviving_events, calls):
+        def run(summarizer):
+            return simulate(
+                surviving_events.manifest,
+                0,
+                EngineConfig(),
+                frames=surviving_events.frames,
+                providers=ProviderSet(summarizer=summarizer),
+            )
+
+        clean = CountingSummarizer()
+        run(clean)
+        first = len(calls["events_from"][0][2])  # member sets of the first prefix
+        # the second prefix's first summary succeeds, its second one fails
+        failing = CountingSummarizer(fail_on=first + 2)
+        report = run(failing)
+        assert report.summary["failed_questions"] == 1
+        # the next question summarizes the failed question's events again
+        assert failing.payloads == clean.payloads[: first + 1] + clean.payloads[first:]
 
     def test_cached_event_arrays_are_read_only(self, default_session, calls):
         simulate(default_session.manifest, 0, EngineConfig(), frames=default_session.frames)

@@ -3,7 +3,7 @@ import math
 from hypothesis import given
 from hypothesis import strategies as st
 
-from streamctx.text import counts_cosine, has_word, term_frequencies, tf_cosine, tokenize
+from streamctx.text import has_word, term_frequencies, tf_cosine, tokenize
 
 
 def test_tokenize_lowercases_and_splits_on_punctuation():
@@ -59,9 +59,3 @@ def test_tf_cosine_order_invariant():
 def test_tf_cosine_repeated_terms_weighted():
     # counts (2,) vs (1,): still parallel, so similarity is exactly 1
     assert tf_cosine("go go", "go") == 1.0
-
-
-def test_counts_cosine_matches_tf_cosine():
-    pairs = [("the red kettle", "a red red kettle on the stove"), ("", "anything"), ("x y", "!!")]
-    for a, b in pairs:
-        assert counts_cosine(term_frequencies(a), term_frequencies(b)) == tf_cosine(a, b)
