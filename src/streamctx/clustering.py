@@ -136,14 +136,6 @@ def _composite(d_feat: np.ndarray, d_time: np.ndarray, alpha_time: float) -> np.
     return np.sqrt(nf**2 + alpha_time * nt**2)
 
 
-def _composite_matrix(
-    x: np.ndarray, t: np.ndarray, centroids: np.ndarray, taus: np.ndarray, alpha_time: float
-) -> np.ndarray:
-    """Composite distances for every (frame, cluster) pair; shape (N, k)."""
-    d_time = np.abs(t[:, None] - taus[None, :])
-    return _composite(_feature_distances(x, centroids), d_time, alpha_time)
-
-
 def _assign(
     x: np.ndarray,
     x_sq: np.ndarray,
@@ -206,16 +198,39 @@ def _assign(
     return best
 
 
-def _kmeanspp_indices(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_indices(
+    x: np.ndarray, k: int, rng: np.random.Generator, *, x_sq: np.ndarray | None = None
+) -> np.ndarray:
     """k-means++ seeding over flattened features only; returns k distinct rows.
+
+    Each seed's squared distances come from one GEMV, ``|x|^2 - 2 x.c + |c|^2``,
+    with the squared frame norms ``x_sq`` (taken here when not given).  By the
+    bound in ``_assign``'s docstring this is within gamma·(|x| + |c|)^2 <=
+    4·gamma·max|x|^2 of the true value, so every row at or below that one
+    threshold is recomputed exactly as ``sum((x - c)^2)``.  Chosen frames and
+    their duplicates therefore sit at exactly 0 and are never drawn again, and
+    ``total > 0`` decides as the exact expression would.  Not covered: other
+    rows keep the expansion's rounding, which grows with |x|^2, so a draw
+    within it of a ``rng.choice`` CDF boundary may pick a neighbouring row.
 
     When every remaining candidate sits at squared distance zero from the
     chosen set (duplicate-heavy data), the next seed falls back to a uniform
     draw over the unchosen rows so the seeds stay distinct frames.
     """
     n = x.shape[0]
+    if x_sq is None:
+        x_sq = np.einsum("ij,ij->i", x, x)
+    gamma = 2.0 * (x.shape[1] + 4) * _EPS
+    near_zero = 4.0 * gamma * float(x_sq.max())
+
+    def dist2(c: int) -> np.ndarray:
+        g = x_sq - 2.0 * (x @ x[c]) + x_sq[c]
+        rows = np.flatnonzero(g <= near_zero)
+        g[rows] = np.sum((x[rows] - x[c]) ** 2, axis=1)
+        return g
+
     chosen = [int(rng.integers(n))]
-    d2 = np.sum((x - x[chosen[0]]) ** 2, axis=1)
+    d2 = dist2(chosen[0])
     for _ in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -224,7 +239,7 @@ def _kmeanspp_indices(x: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
             pool = np.setdiff1d(np.arange(n), np.asarray(chosen))
             nxt = int(rng.choice(pool))
         chosen.append(nxt)
-        d2 = np.minimum(d2, np.sum((x - x[nxt]) ** 2, axis=1))
+        np.minimum(d2, dist2(nxt), out=d2)
     return np.asarray(chosen)
 
 
@@ -270,12 +285,12 @@ def cluster(frames: FrameBlock | Sequence[FrameFeature], config: ClusterConfig) 
 
     x = block.features.reshape(n, p * d).astype(np.float64)
     t = block.timestamps
+    x_sq = np.einsum("ij,ij->i", x, x)  # frames never move, so once per call
     rng = np.random.default_rng(config.seed)
-    idx = _kmeanspp_indices(x, config.k, rng)
+    idx = _kmeanspp_indices(x, config.k, rng, x_sq=x_sq)
     centroids = x[idx].copy()
     taus = t[idx].copy()
 
-    x_sq = np.einsum("ij,ij->i", x, x)  # frames never move, so once per call
     assignments = np.zeros(n, dtype=np.intp)
     delta = math.inf
     iterations = 0

@@ -69,6 +69,15 @@ class TestClusterConfig:
             ClusterConfig(**kwargs)
 
 
+def _composite_matrix(x, t, centroids, taus, alpha_time):
+    """Exact composite distances for every (frame, cluster) pair; shape (N, k).
+
+    The reference the GEMM-based ``_assign`` must agree with.
+    """
+    d_time = np.abs(t[:, None] - taus[None, :])
+    return clustering._composite(clustering._feature_distances(x, centroids), d_time, alpha_time)
+
+
 class TestCompositeDistances:
     # One frame, two centroids: feature-nearest is cluster 0, time-nearest
     # is cluster 1.  Normalized feature distances are [0, 1] and normalized
@@ -78,7 +87,7 @@ class TestCompositeDistances:
 
     @staticmethod
     def composite(frame, timestamp, centroids, taus, alpha):
-        return clustering._composite_matrix(
+        return _composite_matrix(
             np.asarray([frame], dtype=np.float64),
             np.asarray([timestamp], dtype=np.float64),
             np.asarray(centroids, dtype=np.float64),
@@ -151,7 +160,7 @@ class TestAssignmentKernel:
     @given(_assignment_case())
     def test_guarded_argmin_equals_exact_kernel(self, case):
         x, t, c, taus, alpha = case
-        exact = clustering._composite_matrix(x, t, c, taus, alpha).argmin(axis=1)
+        exact = _composite_matrix(x, t, c, taus, alpha).argmin(axis=1)
         x_sq = np.einsum("ij,ij->i", x, x)
         got = clustering._assign(x, x_sq, t, c, taus, alpha)
         assert np.array_equal(got, exact)
@@ -184,6 +193,46 @@ class TestAssignmentKernel:
         assert peak < 8 * 2**20
 
 
+def _kmeanspp_reference(x, k, rng):
+    """k-means++ seeding with every squared distance taken as ``sum((x - c)^2)``.
+
+    The exact expression the norm-expanded ``_kmeanspp_indices`` must agree with.
+    """
+    n = x.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = np.sum((x - x[chosen[0]]) ** 2, axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            nxt = int(rng.choice(n, p=d2 / total))
+        else:
+            pool = np.setdiff1d(np.arange(n), np.asarray(chosen))
+            nxt = int(rng.choice(pool))
+        chosen.append(nxt)
+        d2 = np.minimum(d2, np.sum((x - x[nxt]) ** 2, axis=1))
+    return np.asarray(chosen)
+
+
+@st.composite
+def _seeding_case(draw, offsets):
+    """Float32-derived frames, with copied rows, all-equal rows or zero frames."""
+    n = draw(st.integers(1, 40))
+    pd = draw(st.integers(1, 64))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from(offsets))
+    spread = draw(st.sampled_from([1e3, 1.0, 1e-3, 1e-6]))
+    x = offset + spread * rng.normal(size=(n, pd))
+    shape = draw(st.sampled_from(["random", "copied", "all-equal", "zeros"]))
+    if shape == "copied":  # a few distinct frames, each repeated
+        x = x[rng.integers(0, draw(st.integers(1, n)), size=n)]
+    elif shape == "all-equal":  # every draw after the first is the uniform fallback
+        x[:] = x[0]
+    elif shape == "zeros":
+        x[rng.random(n) < 0.5] = 0.0
+    return x.astype(np.float32).astype(np.float64), k, draw(st.integers(0, 2**32 - 1))
+
+
 class TestSeeding:
     def test_indices_distinct_and_members_copied(self):
         frames = make_frames(12, patches=2, dim=3, seed=5)
@@ -193,6 +242,37 @@ class TestSeeding:
             for slot, i in enumerate(idx):
                 assert taus[slot] == frames[i].timestamp
                 assert np.allclose(cents[slot], np.asarray(frames[i].patches, dtype=np.float64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_seeding_case(offsets=[0.0]), st.booleans())
+    def test_norm_expansion_seeds_like_the_exact_expression(self, case, pass_norms):
+        x, k, seed = case
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        x_sq = np.einsum("ij,ij->i", x, x) if pass_norms else None
+        got = clustering._kmeanspp_indices(x, k, got_rng, x_sq=x_sq)
+        want = _kmeanspp_reference(x, k, want_rng)
+        assert np.array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert len(set(got.tolist())) == k
+
+    @settings(max_examples=300, deadline=None)
+    @given(_seeding_case(offsets=[1.0, 1e3, 1e6]))
+    def test_frames_far_from_the_origin_still_seed_distinct_rows(self, case):
+        # the expansion's error grows with |x|^2, so draws may leave the exact
+        # expression's (see the docstring); exact zeros must not
+        x, k, seed = case
+        idx = clustering._kmeanspp_indices(x, k, np.random.default_rng(seed))
+        assert len(set(idx.tolist())) == k
+
+    def test_all_equal_frames_reach_the_uniform_fallback(self):
+        # one row whose norm expansion against itself leaves a positive residue
+        # (1.4e-14 with OpenBLAS), so only the exact recompute reaches 0
+        row = np.random.default_rng(5).normal(size=64).astype(np.float32)
+        x = np.tile(row, (8, 1)).astype(np.float64)
+        with mock.patch.object(np, "setdiff1d", wraps=np.setdiff1d) as fallback:
+            idx = clustering._kmeanspp_indices(x, 8, np.random.default_rng(0))
+        assert sorted(idx.tolist()) == list(range(8))
+        assert fallback.call_count == 7
 
     def test_duplicate_frames_still_seed_distinct_indices(self):
         patch = [[1.0, 1.0]]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamctx import clustering
 from streamctx.compression import embed_event
 from streamctx.errors import DimensionMismatchError, InvalidConfigError, ProviderError
 from streamctx.providers import EchoGenerator, HashingQuestionEmbedder
@@ -31,6 +32,7 @@ from streamctx.store import DialoguePath, FrameFeature, PathEntry, load_session_
 from streamctx.synthetic import SyntheticSpec, build_synthetic, make_synthetic
 
 from conftest import other_json_type
+from test_clustering import _kmeanspp_reference
 
 
 class TestEngineConfig:
@@ -747,3 +749,21 @@ def test_replay_from_disk_builds_no_per_frame_objects(tmp_path, monkeypatch):
     report = simulate(session.manifest, 0, EngineConfig(), frames=frames)
     assert report.summary["failed_questions"] == 0
     assert len(built) == 0
+
+
+def test_norm_expanded_seeding_replays_like_the_exact_expression(monkeypatch):
+    session = build_synthetic(
+        SyntheticSpec(segments=4, frames_per_segment=30, patches=4, dim=16, num_streams=2, seed=3)
+    )
+
+    def replay():
+        return [
+            simulate(session.manifest, i, EngineConfig(), frames=session.frames).canonical_bytes()
+            for i in (0, 1)
+        ]
+
+    guarded = replay()
+    monkeypatch.setattr(
+        clustering, "_kmeanspp_indices", lambda x, k, rng, x_sq=None: _kmeanspp_reference(x, k, rng)
+    )
+    assert replay() == guarded
