@@ -42,7 +42,6 @@ from .compression import (
 )
 from .errors import (
     BadMagicError,
-    DegenerateVectorError,
     DimensionMismatchError,
     EmbeddingFormatError,
     InvalidConfigError,
@@ -91,7 +90,6 @@ from .store import (
     QARecord,
     SegmentMeta,
     SessionManifest,
-    cosine,
     load_embeddings,
     load_manifest,
     mean_pool,
@@ -104,7 +102,7 @@ __all__ = [
     "__version__",
     # store
     "FrameBlock", "FrameFeature", "SegmentMeta", "QARecord", "PathEntry", "DialoguePath",
-    "SessionManifest", "cosine", "mean_pool",
+    "SessionManifest", "mean_pool",
     "save_embeddings", "load_embeddings", "save_manifest", "load_manifest",
     # clustering
     "ClusterConfig", "ClusterResult", "Event", "choose_k", "cluster",
@@ -130,7 +128,6 @@ __all__ = [
     # errors
     "StreamContextError", "EmbeddingFormatError", "BadMagicError",
     "VersionMismatchError", "TruncatedPayloadError", "NonFiniteValueError",
-    "TimestampOrderError", "ManifestError", "DegenerateVectorError",
-    "DimensionMismatchError", "InvalidConfigError", "RetrievalParseError",
-    "ProviderError",
+    "TimestampOrderError", "ManifestError", "DimensionMismatchError",
+    "InvalidConfigError", "RetrievalParseError", "ProviderError",
 ]

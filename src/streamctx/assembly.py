@@ -132,10 +132,6 @@ class AnswerRecord:
     provider_id: str
 
 
-def _text_token_count(package: ContextPackage) -> int:
-    return sum(len(u.question.split()) + len(u.answer.split()) for u in package.text_units)
-
-
 def answer(
     package: ContextPackage,
     generator: Generator | None = None,
@@ -145,21 +141,23 @@ def answer(
     """Render the package and ask the generator (echo fallback) for an answer.
 
     A provider failure surfaces as a ProviderError that names the package
-    shape, so streaming callers can log what was being answered.
+    shape, so streaming callers can log what was being answered; a reply
+    that is not a non-empty string is a ProviderError too.
     """
     payload = render_layout(package)
     gen = generator if generator is not None else EchoGenerator()
+    visual, text_units = package.visual_units, package.text_units
     with provider_call(
         f"generator {getattr(gen, 'provider_id', '?')} failed on a package with "
-        f"{len(package.visual_units)} visual / {len(package.text_units)} text units"
+        f"{len(visual)} visual / {len(text_units)} text units"
     ):
         text = gen.generate(payload)
-    if not text:
-        raise ProviderError("generator returned an empty answer")
+    if not isinstance(text, str) or not text:
+        raise ProviderError(f"generator must reply with a non-empty string, got {text!r:.80}")
     return AnswerRecord(
         qa_id=qa_id,
         answer=text,
-        visual_tokens=token_count(package.visual_units),
-        text_tokens=_text_token_count(package),
+        visual_tokens=token_count(visual),
+        text_tokens=sum(len(u.question.split()) + len(u.answer.split()) for u in text_units),
         provider_id=getattr(gen, "provider_id", "unknown"),
     )

@@ -138,11 +138,12 @@ def compress_stream(
 ) -> list[VisualUnit]:
     """Score every event against the question and compress the stream.
 
-    Relevance is ``cosine(event embedding, question embedding)``, computed as
-    ``store.cosine`` does but from each embedding's cached norm and one
-    question norm per call; a zero-norm vector on either side scores -1
-    (never preserved) and is logged rather than raised, since an all-zero
-    event is valid input.  Output units are ordered by event time centroid.
+    Relevance is the cosine ``(e @ q) / (‖e‖ · ‖q‖)`` of the event embedding
+    ``e`` and the question embedding ``q``, clipped to [-1, 1], from each
+    embedding's cached norm and one question norm per call.  A zero-norm
+    vector on either side scores -1 (never preserved) and is logged rather
+    than raised, since an all-zero event is valid input.  Output units are
+    ordered by event time centroid.
     """
     if len(events) != len(embeddings):
         raise DimensionMismatchError(

@@ -35,10 +35,6 @@ class ManifestError(StreamContextError):
     """A session manifest is malformed or internally inconsistent."""
 
 
-class DegenerateVectorError(StreamContextError):
-    """A vector with zero norm reached an operation that cannot define it."""
-
-
 class DimensionMismatchError(StreamContextError):
     """Two arrays that must share a shape or dimension do not."""
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,20 +47,20 @@ class HistoryItem:
     ask_time: float
 
 
-class _TermIndex:
-    """Term counts of a history's items, one sparse row per item, append-only.
+class DialogueHistory:
+    """The append-only log of a replay's past turns.
 
-    Each item's ``question + " " + answer`` is counted once, when its row is
-    appended.  The nonzero counts of all rows sit end to end in three arrays
-    (column, count, row) that grow by doubling; ``_ends[r]`` is where row
-    ``r``'s entries stop.  A history of ``n`` items reads rows ``[:n]`` only,
-    so one index can serve a history and every longer history extended from
-    it.
+    Turns are unique by ``qa_id`` and in non-decreasing ask time; ``append``
+    holds both rules.  Each turn's ``question + " " + answer`` is counted
+    once, on append, into one sparse term row.  The nonzero counts of all
+    rows sit end to end in three arrays (column, count, row) that grow by
+    doubling; ``_ends[r]`` is where row ``r``'s entries stop.
     """
 
     def __init__(self, items: Iterable[HistoryItem] = ()):
-        self.columns: dict[str, int] = {}
-        self.qa_ids: list[int] = []
+        self._items: list[HistoryItem] = []
+        self._ids: set[int] = set()
+        self._columns: dict[str, int] = {}
         self._cols = np.empty(64, dtype=np.int64)
         self._counts = np.empty(64, dtype=np.int64)
         self._rows = np.empty(64, dtype=np.int64)
@@ -70,12 +69,28 @@ class _TermIndex:
         for item in items:
             self.append(item)
 
+    @property
+    def items(self) -> tuple[HistoryItem, ...]:
+        return tuple(self._items)
+
+    @property
+    def ids(self) -> frozenset[int]:
+        return frozenset(self._ids)
+
     def __len__(self) -> int:
-        return len(self.qa_ids)
+        return len(self._items)
+
+    def __iter__(self):
+        return iter(self._items)
 
     def append(self, item: HistoryItem) -> None:
+        """Add ``item`` as the latest turn; a refused turn changes nothing."""
+        if item.qa_id in self._ids:
+            raise ValueError("dialogue history repeats a qa_id")
+        if self._items and item.ask_time < self._items[-1].ask_time:
+            raise ValueError("dialogue history ask times must be non-decreasing")
         terms = term_frequencies(f"{item.question} {item.answer}")
-        row, start = len(self.qa_ids), self._ends[-1] if self._ends else 0
+        row, start = len(self._items), self._ends[-1] if self._ends else 0
         stop = start + len(terms)
         if stop > len(self._cols):
             size = max(stop, 2 * len(self._cols))
@@ -84,15 +99,16 @@ class _TermIndex:
             )
         if row == len(self._norms_sq):
             self._norms_sq = np.resize(self._norms_sq, 2 * row)
-        self._cols[start:stop] = [self.columns.setdefault(t, len(self.columns)) for t in terms]
+        self._cols[start:stop] = [self._columns.setdefault(t, len(self._columns)) for t in terms]
         self._counts[start:stop] = list(terms.values())
         self._rows[start:stop] = row
         self._norms_sq[row] = sum(c * c for c in terms.values())
         self._ends.append(stop)
-        self.qa_ids.append(item.qa_id)
+        self._items.append(item)
+        self._ids.add(item.qa_id)
 
-    def overlaps(self, question: str, n: int) -> np.ndarray:
-        """``tf_cosine(question, item text)`` for the first ``n`` items, bitwise.
+    def overlaps(self, question: str) -> np.ndarray:
+        """``tf_cosine(question, item text)`` for every item, bitwise.
 
         The dot over the question's known terms and both squared norms are
         integers.  The dot sums in float64 (``bincount``), which is exact
@@ -102,68 +118,17 @@ class _TermIndex:
         ``tf_cosine`` performs.  An item or question without terms scores 0.
         """
         asked = term_frequencies(question)
-        weights = np.zeros(len(self.columns), dtype=np.int64)
+        weights = np.zeros(len(self._columns), dtype=np.int64)
         for term, count in asked.items():
-            if term in self.columns:
-                weights[self.columns[term]] = count
-        stop = self._ends[n - 1] if n else 0
+            if term in self._columns:
+                weights[self._columns[term]] = count
+        n = len(self._items)
+        stop = self._ends[-1] if n else 0
         products = self._counts[:stop] * weights[self._cols[:stop]]
         dots = np.bincount(self._rows[:stop], weights=products, minlength=n)
         norms_sq = self._norms_sq[:n] * sum(c * c for c in asked.values())
         norms = np.sqrt(norms_sq.astype(np.float64))
         return np.divide(dots, norms, out=np.zeros(n), where=norms > 0)
-
-
-@dataclass(frozen=True)
-class DialogueHistory:
-    """The past turns, unique by ``qa_id``, in non-decreasing ask time.
-
-    The term index behind ``lexical_fallback`` is built on first use and
-    handed on by ``extended``, which appends the new turn's row to it.
-    """
-
-    items: tuple[HistoryItem, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
-        if len(self.ids) != len(self.items):
-            raise ValueError("dialogue history repeats a qa_id")
-        times = [i.ask_time for i in self.items]
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ValueError("dialogue history ask times must be non-decreasing")
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    @cached_property
-    def ids(self) -> frozenset[int]:
-        return frozenset(i.qa_id for i in self.items)
-
-    @cached_property
-    def _index(self) -> _TermIndex:
-        return _TermIndex(self.items)
-
-    def extended(self, item: HistoryItem) -> "DialogueHistory":
-        """This history plus ``item``; only the new turn is checked.
-
-        The child takes over this history's index when the index holds
-        exactly this history's items, as it does along a replayed stream; a
-        second extension of the same history builds its own on first use.
-        """
-        if item.qa_id in self.ids:
-            raise ValueError("dialogue history repeats a qa_id")
-        if self.items and item.ask_time < self.items[-1].ask_time:
-            raise ValueError("dialogue history ask times must be non-decreasing")
-        child = object.__new__(DialogueHistory)
-        object.__setattr__(child, "items", self.items + (item,))
-        index = self.__dict__.get("_index")
-        if index is not None and len(index) == len(self):
-            index.append(item)
-            child.__dict__["_index"] = index
-        return child
 
 
 @dataclass(frozen=True)
@@ -240,9 +205,9 @@ def lexical_fallback(
     DELTA_OVERLAP *and* the question contains one of the fixed recall cues —
     near-verbatim repetition alone is not treated as dialogue recall.
     """
-    index = history._index
-    overlaps = index.overlaps(question, len(history))
-    selected = frozenset(index.qa_ids[i] for i in np.flatnonzero(overlaps >= threshold))
+    overlaps = history.overlaps(question)
+    items = history.items
+    selected = frozenset(items[i].qa_id for i in np.flatnonzero(overlaps >= threshold))
     normalized = " ".join(tokenize(question))
     delta = int(
         len(history) > 0

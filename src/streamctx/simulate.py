@@ -55,7 +55,7 @@ from .compression import (
     embed_event,
     embed_question,
 )
-from .errors import InvalidConfigError, StreamContextError
+from .errors import InvalidConfigError, ManifestError, StreamContextError
 from .providers import Generator, HashingQuestionEmbedder, Retriever, Summarizer, TextEmbedder
 from .retrieval import (
     DEFAULT_OVERLAP_THRESHOLD,
@@ -168,7 +168,14 @@ class _FrameGuard:
     any future-frame access."""
 
     def __init__(self, manifest: SessionManifest, frames: Mapping[int, FrameBlock]):
-        blocks = [FrameBlock.of(frames[seg.segment_id]) for seg in manifest.segments]
+        listed = [seg.segment_id for seg in manifest.segments]
+        missing, unknown = sorted(set(listed) - set(frames)), sorted(set(frames) - set(listed))
+        if missing or unknown:
+            raise ManifestError(
+                f"frames must cover exactly the manifest's segments: "
+                f"missing {missing}, unknown {unknown}"
+            )
+        blocks = [FrameBlock.of(frames[segment_id]) for segment_id in listed]
         self._block = FrameBlock.of(blocks)
         self.dim = self._block.dim
         self._ends = [seg.end_s for seg in manifest.segments]
@@ -255,11 +262,12 @@ def simulate(
     """Replay one dialogue stream end to end.
 
     ``frames`` maps each segment id to its frames, as ``load_session_frames``
-    returns them; segments that disagree on (patches, dim) raise before any
-    question.  A ``StreamContextError`` inside one question's pipeline
-    aborts that question (recorded with its error kind) and the stream
-    moves on; the dialogue history then carries the dataset's gold answer
-    so later questions still see the turn.  Any other exception is a bug
+    returns them; a segment id missing or not in the manifest, or segments
+    that disagree on (patches, dim), raise before any question.  A
+    ``StreamContextError`` inside one question's pipeline aborts that
+    question (recorded with its error kind) and the stream moves on; the
+    dialogue history then carries the dataset's gold answer so later
+    questions still see the turn.  Any other exception is a bug
     and propagates.  The clustering, events and event embeddings of the
     latest visible prefix are kept for the next question, every event
     summary is kept by its member frames for the rest of the stream, and
@@ -357,7 +365,7 @@ def simulate(
         records.append(record)
 
         spoken = qa.answer if (config.use_gold_answers or generated_answer is None) else generated_answer
-        history = history.extended(
+        history.append(
             HistoryItem(qa_id=qa.qa_id, question=qa.question, answer=spoken, ask_time=entry.ask_time)
         )
 

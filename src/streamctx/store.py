@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import (
     BadMagicError,
-    DegenerateVectorError,
     DimensionMismatchError,
     EmbeddingFormatError,
     ManifestError,
@@ -338,25 +337,6 @@ class SessionManifest:
 
 # ---------------------------------------------------------------------------
 # vector primitives
-
-
-def cosine(a, b) -> float:
-    """Cosine similarity of two equal-length 1-D vectors, clipped to [-1, 1].
-
-    Raises:
-        DimensionMismatchError: if the vectors differ in length.
-        DegenerateVectorError: if either vector has zero norm; the caller
-            decides what a degenerate score means in its own context.
-    """
-    va = np.asarray(a, dtype=np.float64).reshape(-1)
-    vb = np.asarray(b, dtype=np.float64).reshape(-1)
-    if va.shape != vb.shape:
-        raise DimensionMismatchError(f"cosine: shapes {va.shape} and {vb.shape} differ")
-    norm_a = float(np.linalg.norm(va))
-    norm_b = float(np.linalg.norm(vb))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise DegenerateVectorError("cosine similarity is undefined for zero-norm vectors")
-    return float(np.clip(float(va @ vb) / (norm_a * norm_b), -1.0, 1.0))
 
 
 def mean_pool(rows) -> np.ndarray:

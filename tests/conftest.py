@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from streamctx.errors import DimensionMismatchError
 from streamctx.store import FrameFeature
 from streamctx.synthetic import SyntheticSpec, build_synthetic
 
@@ -10,6 +11,23 @@ from streamctx.synthetic import SyntheticSpec, build_synthetic
 def default_session():
     """The default synthetic session: 5 segments, 20 QAs, 1 dialogue stream."""
     return build_synthetic(SyntheticSpec())
+
+
+def cosine(a, b) -> float:
+    """Cosine similarity of two equal-length 1-D vectors, clipped to [-1, 1].
+
+    The reference that compression relevances and embedder checks compare
+    against.  A zero-norm vector has no cosine and raises ``ValueError``.
+    """
+    va = np.asarray(a, dtype=np.float64).reshape(-1)
+    vb = np.asarray(b, dtype=np.float64).reshape(-1)
+    if va.shape != vb.shape:
+        raise DimensionMismatchError(f"cosine: shapes {va.shape} and {vb.shape} differ")
+    norm_a = float(np.linalg.norm(va))
+    norm_b = float(np.linalg.norm(vb))
+    if norm_a == 0.0 or norm_b == 0.0:
+        raise ValueError("cosine similarity is undefined for zero-norm vectors")
+    return float(np.clip(float(va @ vb) / (norm_a * norm_b), -1.0, 1.0))
 
 
 def make_frames(n, patches=2, dim=4, seed=0, t0=0.0, dt=1.0):

@@ -17,7 +17,9 @@ from streamctx.compression import (
 )
 from streamctx.errors import DimensionMismatchError, InvalidConfigError, ProviderError
 from streamctx.providers import SUMMARY_PROMPT, HashingQuestionEmbedder
-from streamctx.store import FrameBlock, FrameFeature, cosine
+from streamctx.store import FrameBlock, FrameFeature
+
+from conftest import cosine
 
 
 def make_event(event_id, frames):

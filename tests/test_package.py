@@ -15,6 +15,9 @@ DELETED = [
     ("streamctx.clustering", "composite_distances"),
     ("streamctx.clustering", "IterationHook"),
     ("streamctx.store", "minmax_normalize"),
+    ("streamctx.store", "cosine"),
+    ("streamctx.errors", "DegenerateVectorError"),
+    ("streamctx.retrieval", "_TermIndex"),
 ]
 
 
@@ -34,6 +37,10 @@ def test_deleted_names_are_gone(module, name):
 def test_deleted_members_are_gone():
     assert not hasattr(streamctx.SessionManifest, "qa_by_id")
     assert not hasattr(streamctx.JsonProviderClient, "judge")
+    assert not hasattr(streamctx.DialogueHistory, "extended")
+    assert list(inspect.signature(streamctx.DialogueHistory.overlaps).parameters) == [
+        "self", "question",
+    ]
     for name in ("endpoints", "alpha_len", "num_paths"):
         assert not hasattr(streamctx.EngineConfig(), name)
     assert [f.name for f in dataclasses.fields(streamctx.SimulationReport)] == ["records", "summary"]

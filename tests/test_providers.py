@@ -21,7 +21,8 @@ from streamctx.providers import (
     score_request,
     summarize_request,
 )
-from streamctx.store import cosine
+
+from conftest import cosine
 
 
 class TestHashingEmbedder:

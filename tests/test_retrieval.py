@@ -35,11 +35,12 @@ def make_history(*triples):
 
 
 class TestHistory:
-    def test_ids_and_extended(self):
+    def test_ids_and_append(self):
         h = make_history(("q1", "a1", 10), ("q2", "a2", 20))
-        assert h.ids == {1, 2}
-        h2 = h.extended(HistoryItem(3, "q3", "a3", 30.0))
-        assert len(h2) == 3 and len(h) == 2
+        assert h.ids == {1, 2} and isinstance(h.ids, frozenset)
+        h.append(HistoryItem(3, "q3", "a3", 30.0))
+        assert len(h) == 3 and h.ids == {1, 2, 3}
+        assert isinstance(h.items, tuple) and [i.qa_id for i in h] == [1, 2, 3]
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -49,13 +50,18 @@ class TestHistory:
         with pytest.raises(ValueError):
             make_history(("q1", "a1", 20), ("q2", "a2", 10))
 
-    def test_extended_checks_the_new_turn(self):
+    def test_append_checks_the_new_turn(self):
         h = make_history(("q1", "a1", 10), ("q2", "a2", 20))
-        with pytest.raises(ValueError, match="repeats a qa_id"):
-            h.extended(HistoryItem(1, "q3", "a3", 30.0))
-        with pytest.raises(ValueError, match="non-decreasing"):
-            h.extended(HistoryItem(3, "q3", "a3", 19.0))
-        assert h.extended(HistoryItem(3, "q3", "a3", 20.0)).ids == {1, 2, 3}
+        for refused, match in [
+            (HistoryItem(1, "q3", "a3", 30.0), "repeats a qa_id"),
+            (HistoryItem(3, "q3", "a3", 19.0), "non-decreasing"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                h.append(refused)
+            assert [i.qa_id for i in h] == [1, 2] and h.ids == {1, 2}
+            assert h.overlaps("q1 a1").tolist() == [1.0, 0.0]
+        h.append(HistoryItem(3, "q3", "a3", 20.0))
+        assert h.ids == {1, 2, 3}
 
 
 class TestGrammar:
@@ -175,7 +181,7 @@ class TestLexicalFallback:
         history = DialogueHistory()
         for item in OVERLAP_HISTORY:
             lexical_fallback(history, OVERLAP_QUESTION)
-            history = history.extended(item)
+            history.append(item)
         lexical_fallback(history, OVERLAP_QUESTION)
         item_texts = [f"{item.question} {item.answer}" for item in OVERLAP_HISTORY]
         assert [text for text in counted if text != OVERLAP_QUESTION] == item_texts
@@ -314,7 +320,7 @@ _TEXTS = st.lists(st.sampled_from(["red", "Kettle", "on", "the", "stove", "9"]),
 
 
 def _reference_fallback(history, question, threshold):
-    """The per-item loop the term index replaced, one ``tf_cosine`` per item."""
+    """The per-item loop the term rows replaced, one ``tf_cosine`` per item."""
     overlaps = {i.qa_id: tf_cosine(question, f"{i.question} {i.answer}") for i in history}
     normalized = " ".join(tokenize(question))
     delta = int(
@@ -327,7 +333,7 @@ def _reference_fallback(history, question, threshold):
 
 
 def _check_index(history, question, threshold):
-    overlaps = history._index.overlaps(question, len(history))
+    overlaps = history.overlaps(question)
     assert overlaps.tolist() == [
         tf_cosine(question, f"{item.question} {item.answer}") for item in history
     ]
@@ -346,28 +352,7 @@ def test_index_overlaps_are_bitwise_tf_cosine_on_every_prefix(turns, questions, 
     for qa_id, (question, answer) in enumerate(turns):
         for asked in questions:
             _check_index(history, asked, threshold)
-        history = history.extended(HistoryItem(qa_id, question, answer, float(qa_id)))
+        history.append(HistoryItem(qa_id, question, answer, float(qa_id)))
     for asked in questions:
         _check_index(history, asked, threshold)
 
-
-@given(
-    turns=st.lists(st.tuples(_TEXTS, _TEXTS), max_size=5),
-    branches=st.lists(st.tuples(_TEXTS, _TEXTS), min_size=2, max_size=2),
-    question=_TEXTS,
-    threshold=st.floats(0.0, 1.0),
-)
-def test_branched_histories_score_only_their_own_items(turns, branches, question, threshold):
-    parent = DialogueHistory()
-    for qa_id, (q, a) in enumerate(turns):
-        lexical_fallback(parent, question, threshold)
-        parent = parent.extended(HistoryItem(qa_id, q, a, float(qa_id)))
-    lexical_fallback(parent, question, threshold)
-    first, second = (
-        parent.extended(HistoryItem(100 + i, q, a, 10.0)) for i, (q, a) in enumerate(branches)
-    )
-    # the first child took over the parent's index, the second builds its own
-    assert first._index is parent._index is not second._index
-    grandchild = first.extended(HistoryItem(200, *branches[1], 11.0))
-    for history in (parent, second, grandchild, first, parent):
-        _check_index(history, question, threshold)

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 from streamctx import clustering
 from streamctx.compression import embed_event
-from streamctx.errors import DimensionMismatchError, InvalidConfigError, ProviderError
+from streamctx.errors import (
+    DimensionMismatchError,
+    InvalidConfigError,
+    ManifestError,
+    ProviderError,
+)
 from streamctx.providers import EchoGenerator, HashingQuestionEmbedder
 from streamctx.retrieval import DialogueHistory, RetrievalMetrics, micro_metrics
 from streamctx.simulate import (
@@ -357,6 +362,31 @@ class TestSimulateFailureModes:
         # and the dialogue history kept growing on gold answers
         assert [r["history_size"] for r in report.records] == list(range(20))
 
+    @pytest.mark.parametrize("reply", [5, b"x", ["a"], None, ""])
+    def test_a_generator_reply_that_is_not_text_fails_its_question(self, default_session, reply):
+        class BadSecondReply:
+            provider_id = "bad-second-reply"
+
+            def __init__(self):
+                self.calls = 0
+
+            def generate(self, payload):
+                self.calls += 1
+                return reply if self.calls == 2 else EchoGenerator().generate(payload)
+
+        report = simulate(
+            default_session.manifest,
+            0,
+            EngineConfig(),
+            frames=default_session.frames,
+            providers=ProviderSet(generator=BadSecondReply()),
+        )
+        assert [r.get("error", {}).get("type") for r in report.records[:3]] == [
+            None, "ProviderError", None,
+        ]
+        assert report.summary["failed_questions"] == 1
+        validate_report(report)
+
     @pytest.mark.parametrize("role", ["summarizer", "embedder"])
     def test_summarizer_or_embedder_failure_is_a_provider_error(self, default_session, role):
         class Boom:
@@ -421,6 +451,19 @@ class TestSimulateFailureModes:
         with pytest.raises(DimensionMismatchError):
             simulate(default_session.manifest, 0, EngineConfig(), frames=frames)
         assert not calls  # no question started
+
+    def test_a_missing_segment_fails_before_any_question(self, default_session, calls):
+        frames = dict(default_session.frames)
+        del frames[3]
+        with pytest.raises(ManifestError, match=r"missing \[3\], unknown \[\]"):
+            simulate(default_session.manifest, 0, EngineConfig(), frames=frames)
+        assert not calls
+
+    def test_an_unlisted_segment_fails_before_any_question(self, default_session, calls):
+        frames = {**default_session.frames, 9: default_session.frames[1]}
+        with pytest.raises(ManifestError, match=r"missing \[\], unknown \[9\]"):
+            simulate(default_session.manifest, 0, EngineConfig(), frames=frames)
+        assert not calls
 
     def test_question_before_any_finished_segment(self, default_session):
         manifest = replace(
@@ -538,7 +581,13 @@ class TestTracerContract:
     """
 
     @pytest.mark.parametrize("mode", ["fallback", "provider"])
-    def test_every_traced_name_is_called(self, default_session, calls, mode):
+    def test_every_traced_name_is_called(self, default_session, calls, mode, monkeypatch):
+        # the history grows in place, so its length is read as retrieve is called
+        module = importlib.import_module("streamctx.simulate")
+        sizes, recorded = [], module.retrieve
+        monkeypatch.setattr(
+            module, "retrieve", lambda *a, **k: sizes.append(len(a[0])) or recorded(*a, **k)
+        )
         report = simulate(
             default_session.manifest,
             0,
@@ -553,7 +602,7 @@ class TestTracerContract:
         )
         histories = [args[0] for args, _, _ in calls["retrieve"]]
         assert all(isinstance(history, DialogueHistory) for history in histories)
-        assert [len(h) for h in histories] == [rec["history_size"] for rec in report.records]
+        assert sizes == [rec["history_size"] for rec in report.records]
         assert [kwargs["qa_id"] for _, kwargs, _ in calls["generate_answer"]] == [
             rec["qa_id"] for rec in report.records
         ]

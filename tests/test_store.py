@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from streamctx.clustering import _rowwise_minmax
 from streamctx.errors import (
     BadMagicError,
-    DegenerateVectorError,
     DimensionMismatchError,
     EmbeddingFormatError,
     ManifestError,
@@ -27,7 +26,6 @@ from streamctx.store import (
     QARecord,
     SegmentMeta,
     SessionManifest,
-    cosine,
     load_embeddings,
     load_manifest,
     load_session_frames,
@@ -38,7 +36,7 @@ from streamctx.store import (
     save_manifest,
 )
 
-from conftest import make_frames, other_json_type
+from conftest import cosine, make_frames, other_json_type
 
 
 class TestFrameFeature:
@@ -149,7 +147,7 @@ class TestCosine:
         assert cosine([1, 2, 2], [2, 1, 2]) == 8 / 9
 
     def test_zero_norm_raises(self):
-        with pytest.raises(DegenerateVectorError):
+        with pytest.raises(ValueError, match="zero-norm"):
             cosine([0, 0], [1, 2])
 
     def test_dimension_mismatch_raises(self):
