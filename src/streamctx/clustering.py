@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -333,28 +332,21 @@ def cluster(frames: FrameBlock | Sequence[FrameFeature], config: ClusterConfig) 
 class Event:
     """A cluster of frames presented as one temporally ordered unit.
 
-    ``event_id`` is the 1-based rank of the event by time centroid;
-    ``cluster_index`` points back into the originating ClusterResult, and
-    ``frames`` is the block of member frames in time order.  ``pooled`` is
-    built on first use, kept, and read-only, so an event reused across
-    questions pools its frames once.
+    ``event_id`` is the 1-based rank of the event by time centroid.  No frame
+    is copied: ``frame_indices`` are the members' rows, in time order, of
+    ``prefix``, the block the event was clustered from (held by reference).
     """
 
     event_id: int
-    cluster_index: int
     frame_indices: tuple[int, ...]
-    frames: FrameBlock
-    feature_centroid: np.ndarray  # (P, D)
+    prefix: FrameBlock
     time_centroid: float
     start_s: float
     end_s: float
 
-    @cached_property
-    def pooled(self) -> np.ndarray:
-        """One mean-pooled token per member frame, shape (F, D)."""
-        pooled = self.frames.features.mean(axis=1)
-        pooled.setflags(write=False)
-        return pooled
+    @property
+    def num_frames(self) -> int:
+        return len(self.frame_indices)
 
 
 def events_from(result: ClusterResult, frames: FrameBlock | Sequence[FrameFeature]) -> list[Event]:
@@ -363,7 +355,7 @@ def events_from(result: ClusterResult, frames: FrameBlock | Sequence[FrameFeatur
     Members sort by (timestamp, frame index) and events by (time centroid,
     cluster index).  A cluster with no assigned frames (possible only in
     degenerate runs) is skipped with a warning rather than emitted as an
-    empty event.
+    empty event.  Every event indexes the one block ``frames`` joins to.
     """
     block = FrameBlock.of(frames)
     if len(block) != result.assignments.shape[0]:
@@ -382,19 +374,14 @@ def events_from(result: ClusterResult, frames: FrameBlock | Sequence[FrameFeatur
         order.append((float(result.time_centroids[j]), j, members))
     order.sort(key=lambda item: (item[0], item[1]))
 
-    events = []
-    for rank, (tau, j, members) in enumerate(order, start=1):
-        member_frames = block[members]
-        events.append(
-            Event(
-                event_id=rank,
-                cluster_index=j,
-                frame_indices=tuple(members.tolist()),
-                frames=member_frames,
-                feature_centroid=result.feature_centroids[j],
-                time_centroid=tau,
-                start_s=float(member_frames.timestamps[0]),
-                end_s=float(member_frames.timestamps[-1]),
-            )
+    return [
+        Event(
+            event_id=rank,
+            frame_indices=tuple(members.tolist()),
+            prefix=block,
+            time_centroid=tau,
+            start_s=float(block.timestamps[members[0]]),
+            end_s=float(block.timestamps[members[-1]]),
         )
-    return events
+        for rank, (tau, _, members) in enumerate(order, start=1)
+    ]

@@ -1,10 +1,10 @@
 """Question-aware compression of an event stream.
 
 Every event gets a relevance score: the cosine between its embedding and the
-current question's embedding.  Events at or above the threshold keep their
-full patch tokens ("preserved"); the rest collapse each frame to a single
-mean-pooled token ("pooled").  Either way no event disappears and no frame
-timestamp is lost — compression only reduces token counts.
+current question's embedding.  Preserve and pool decide the token
+accounting: an event at or above the threshold keeps its full patch tokens
+("preserved"), the rest one mean-pooled token per frame ("pooled").  No
+event disappears; units carry these counts, not token arrays.
 """
 
 from __future__ import annotations
@@ -61,27 +61,19 @@ class EventEmbedding:
 
 @dataclass(frozen=True, eq=False)
 class VisualUnit:
-    """One event after compression.
+    """One event after compression: the counts its layout line shows.
 
-    Preserved units keep ``data`` with shape (frames, patches, dim); pooled
-    units carry one token per frame, shape (frames, dim).  ``patch_count``
-    remembers the original patch rows so token accounting can reconstruct
-    the uncompressed size either way.  ``timestamps`` and ``data`` are the
-    event's own read-only arrays, shared by every unit made from it.
+    A preserved unit stands for ``num_frames * patch_count`` tokens, a pooled
+    one for ``num_frames``; ``patch_count`` keeps the uncompressed size known.
     """
 
     kind: str
     event_id: int
-    timestamps: np.ndarray  # (frames,)
-    data: np.ndarray
+    num_frames: int
     patch_count: int
     relevance: float
     start_s: float
     time_centroid: float
-
-    @property
-    def num_frames(self) -> int:
-        return self.timestamps.shape[0]
 
     @property
     def tokens(self) -> int:
@@ -91,20 +83,24 @@ class VisualUnit:
 def embed_event(event: Event, summarizer: Summarizer | None = None) -> EventEmbedding:
     """Embed one event, via the summarizer provider or the local fallback.
 
-    The provider receives the event's frame features concatenated along the
-    patch axis together with a fixed summarization prompt, and its returned
-    hidden states are mean-pooled over the token axis.  Without a provider
-    the embedding is simply the mean over all patch rows of all frames.
-    Provider failures and replies that do not pool to a finite vector
-    surface as ``ProviderError``.
+    The one place an event's members are gathered from its prefix: their
+    patch rows, concatenated in time order, go to the provider with a fixed
+    summarization prompt, and its hidden states are mean-pooled over the
+    token axis.  Without a provider the embedding is the mean over those
+    rows.  A provider failure, or a reply that is not a non-empty 2-D array
+    pooling to a finite vector, is a ``ProviderError`` (the one reply check).
     """
-    stacked = event.frames.features.reshape(-1, event.frames.dim)
+    prefix = event.prefix
+    stacked = prefix.features[list(event.frame_indices)].reshape(-1, prefix.dim)
     if summarizer is None:
         return EventEmbedding(mean_pool(stacked), provenance="fallback-meanpool")
+    features = stacked.astype(np.float64)
     with provider_call(f"summarizer failed on event {event.event_id}"):
-        states = summarizer.hidden_states(stacked.astype(np.float64), SUMMARY_PROMPT)
-        pooled = _finite(mean_pool(states), f"summarizer reply for event {event.event_id}")
-        return EventEmbedding(pooled, provenance=summarizer.provider_id)
+        states = np.asarray(summarizer.hidden_states(features, SUMMARY_PROMPT), dtype=np.float64)
+    what = f"summarizer {summarizer.provider_id} reply for event {event.event_id}"
+    if states.ndim != 2 or states.size == 0:
+        raise ProviderError(f"{what} must be a non-empty 2-D array, got shape {states.shape}")
+    return EventEmbedding(_finite(mean_pool(states), what), provenance=summarizer.provider_id)
 
 
 def embed_question(question: str, embedder: TextEmbedder) -> np.ndarray:
@@ -150,10 +146,11 @@ def compress_stream(
             f"got {len(events)} events but {len(embeddings)} embeddings"
         )
     q = np.asarray(question_vec, dtype=np.float64).reshape(-1)
-    for emb in embeddings:
+    for event, emb in zip(events, embeddings):
         if emb.vector.shape != q.shape:
             raise DimensionMismatchError(
-                f"event embedding dim {emb.vector.shape[0]} != question dim {q.shape[0]}"
+                f"event {event.event_id} embedding from {emb.provenance} has dim "
+                f"{emb.vector.shape[0]} != question dim {q.shape[0]}"
             )
 
     nq = float(np.linalg.norm(q))
@@ -171,9 +168,8 @@ def compress_stream(
             VisualUnit(
                 kind=PRESERVED if preserved else POOLED,
                 event_id=event.event_id,
-                timestamps=event.frames.timestamps,
-                data=event.frames.features if preserved else event.pooled,
-                patch_count=event.frames.num_patches,
+                num_frames=event.num_frames,
+                patch_count=event.prefix.num_patches,
                 relevance=score,
                 start_s=event.start_s,
                 time_centroid=event.time_centroid,

@@ -229,10 +229,7 @@ class JsonProviderClient:
 
     def hidden_states(self, features: np.ndarray, prompt: str) -> np.ndarray:
         resp = self._call(summarize_request(features, prompt))
-        states = np.asarray(_require(resp, "hidden_states"), dtype=np.float64)
-        if states.ndim != 2 or states.shape[0] < 1:
-            raise ProviderError(f"hidden_states must be a non-empty 2-D array, got shape {states.shape}")
-        return states
+        return np.asarray(_require(resp, "hidden_states"), dtype=np.float64)
 
     def embed(self, text: str) -> np.ndarray:
         resp = self._call(embed_request(text))

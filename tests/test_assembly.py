@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from streamctx.assembly import (
@@ -16,18 +15,15 @@ from streamctx.errors import ProviderError
 from streamctx.retrieval import HistoryItem
 
 
-def visual_unit(event_id, start_s, *, kind=PRESERVED, n_frames=2, patches=3, dim=2):
-    stamps = np.asarray([start_s + float(i) for i in range(n_frames)])
-    shape = (n_frames, patches, dim) if kind == PRESERVED else (n_frames, dim)
+def visual_unit(event_id, start_s, *, kind=PRESERVED, n_frames=2, patches=3):
     return VisualUnit(
         kind=kind,
         event_id=event_id,
-        timestamps=stamps,
-        data=np.zeros(shape),
+        num_frames=n_frames,
         patch_count=patches,
         relevance=0.9 if kind == PRESERVED else 0.1,
         start_s=start_s,
-        time_centroid=float(stamps.mean()),
+        time_centroid=start_s + (n_frames - 1) / 2,
     )
 
 

@@ -21,8 +21,16 @@ from streamctx.clustering import (
     events_from,
     kmeanspp_init,
 )
+from streamctx.compression import (
+    POOLED,
+    PRESERVED,
+    CompressionConfig,
+    EventEmbedding,
+    compress_stream,
+    original_token_count,
+)
 from streamctx.errors import DimensionMismatchError, InvalidConfigError
-from streamctx.store import FrameFeature
+from streamctx.store import FrameBlock, FrameFeature
 
 
 class TestChooseK:
@@ -464,8 +472,7 @@ class TestEvents:
     def test_ids_follow_time_order_and_empty_cluster_skipped(self):
         events = events_from(self._result(), self._frames())
         assert [e.event_id for e in events] == [1, 2]
-        assert [e.cluster_index for e in events] == [2, 0]
-        assert events[0].frame_indices == (0, 2)
+        assert events[0].frame_indices == (0, 2)  # cluster 2
         assert events[1].frame_indices == (1, 3)
 
     def test_span_and_centroid_fields(self):
@@ -473,8 +480,16 @@ class TestEvents:
         first = events[0]
         assert (first.start_s, first.end_s) == (3.0, 5.0)
         assert first.time_centroid == 4.0
-        assert len(first.frames) == 2
-        assert np.array_equal(first.feature_centroid, [[4.0, 5.0]])
+        assert first.num_frames == 2
+
+    def test_events_index_the_one_block_they_came_from(self):
+        frames = self._frames()
+        block = FrameBlock.of(frames)
+        events = events_from(self._result(), block)
+        assert all(e.prefix is block for e in events)
+        joined = events_from(self._result(), frames)
+        assert joined[0].prefix is joined[1].prefix
+        assert joined[0].prefix.timestamps.tolist() == [3.0, 20.0, 5.0, 40.0]
 
     def test_frame_count_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -489,33 +504,25 @@ class TestEvents:
         taus = [e.time_centroid for e in events]
         assert taus == sorted(taus)
         for e in events:
-            assert e.start_s == min(f.timestamp for f in e.frames)
-            assert e.end_s == max(f.timestamp for f in e.frames)
+            stamps = e.prefix.timestamps[list(e.frame_indices)]
+            assert e.start_s == stamps.min() and e.end_s == stamps.max()
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(1, 6),
-        st.sampled_from([1, 2, 3, 8, 9, 31, 130]),
-        st.sampled_from([1, 2, 5, 32]),
-        st.floats(-6, 6),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_pooled_equals_the_per_frame_mean_bitwise(self, n_frames, patches, dim, log_scale, seed):
-        rng = np.random.default_rng(seed)
-        scale = 10.0**log_scale
-        frames = [
-            FrameFeature(rng.normal(scale * 3, scale, size=(patches, dim)), float(t))
-            for t in range(n_frames)
-        ]
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.sampled_from([1, 2, 3, 8, 130]), st.floats(-1, 1))
+    def test_an_event_counts_its_tokens_per_mode(self, n_frames, patches, theta):
+        frames = [FrameFeature(np.ones((patches, 2)), float(t)) for t in range(n_frames)]
         res = ClusterResult(
-            feature_centroids=np.zeros((1, patches, dim)),
+            feature_centroids=np.zeros((1, patches, 2)),
             time_centroids=np.zeros(1),
             assignments=np.zeros(n_frames, dtype=int),
             iterations=1,
             final_delta=0.0,
         )
         (event,) = events_from(res, frames)
-        per_frame = np.stack([f.patches.mean(axis=0) for f in frames])
-        assert event.pooled.dtype == per_frame.dtype == np.float32
-        assert event.pooled.shape == (n_frames, dim)
-        assert event.pooled.tobytes() == per_frame.tobytes()
+        (unit,) = compress_stream(
+            [event], [EventEmbedding([3.0, 4.0], "t")], [1.0, 0.0], CompressionConfig(theta)
+        )
+        assert unit.kind == (PRESERVED if 0.6 >= theta else POOLED)  # cosine is exactly 3/5
+        assert unit.num_frames == event.num_frames == n_frames
+        assert unit.tokens == n_frames * (patches if unit.kind == PRESERVED else 1)
+        assert original_token_count([unit]) == n_frames * patches

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamctx.clustering import Event
 from streamctx.compression import (
@@ -17,22 +19,23 @@ from streamctx.compression import (
 )
 from streamctx.errors import DimensionMismatchError, InvalidConfigError, ProviderError
 from streamctx.providers import SUMMARY_PROMPT, HashingQuestionEmbedder
-from streamctx.store import FrameBlock, FrameFeature
+from streamctx.store import FrameBlock, FrameFeature, mean_pool
 
 from conftest import cosine
 
 
-def make_event(event_id, frames):
+def make_event(event_id, frames, members=None):
+    """An event over ``members`` (all frames by default) of the block ``frames`` join to."""
     block = FrameBlock.of(frames)
+    members = list(range(len(block))) if members is None else list(members)
+    stamps = block.timestamps[members]
     return Event(
         event_id=event_id,
-        cluster_index=event_id - 1,
-        frame_indices=tuple(range(len(block))),
-        frames=block,
-        feature_centroid=block.features.astype(np.float64).mean(axis=0),
-        time_centroid=float(block.timestamps.mean()),
-        start_s=float(block.timestamps.min()),
-        end_s=float(block.timestamps.max()),
+        frame_indices=tuple(members),
+        prefix=block,
+        time_centroid=float(stamps.mean()),
+        start_s=float(stamps.min()),
+        end_s=float(stamps.max()),
     )
 
 
@@ -96,6 +99,36 @@ class TestEmbedEvent:
         with pytest.raises(ProviderError):
             embed_event(self._event(), summarizer)
 
+    def test_only_the_members_are_gathered(self):
+        frames = [FrameFeature([[float(i), 10.0 * i]], float(i)) for i in range(5)]
+        summarizer = _ScriptedSummarizer(np.asarray([[1.0, 1.0]]))
+        embed_event(make_event(1, frames, members=[1, 3, 4]), summarizer)
+        assert summarizer.calls[0][0].tolist() == [[1.0, 10.0], [3.0, 30.0], [4.0, 40.0]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.sampled_from([1, 2, 3, 8, 31]),
+        st.sampled_from([1, 2, 5, 32]),
+        st.floats(-6, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_fallback_is_the_mean_of_the_gathered_members_bitwise(
+        self, n_frames, patches, dim, log_scale, seed
+    ):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        block = FrameBlock(
+            np.arange(n_frames, dtype=np.float64),
+            rng.normal(scale * 3, scale, size=(n_frames, patches, dim)),
+        )
+        members = np.flatnonzero(rng.random(n_frames) < 0.5)
+        if not members.size:
+            members = np.asarray([int(rng.integers(n_frames))])
+        emb = embed_event(make_event(1, block, members=members.tolist()))
+        want = mean_pool(block[members].features.reshape(-1, dim))
+        assert emb.vector.tobytes() == want.tobytes()
+
 
 class TestEmbedQuestion:
     def test_fallback_matches_hashing_embedder(self):
@@ -155,10 +188,9 @@ class TestCompressStream:
         )
         u = units[0]
         assert u.kind == PRESERVED
-        assert u.data.shape == (2, 2, 2)
-        assert u.data[0].tolist() == [[0.0, 2.0], [4.0, 6.0]]
-        assert u.tokens == 4
-        assert u.timestamps.tolist() == [0.0, 1.0]
+        assert (u.num_frames, u.patch_count) == (2, 2)
+        assert u.tokens == 4  # every patch row of every frame
+        assert u.start_s == 0.0
 
     def test_pooled_averages_each_frame(self):
         frames = [FrameFeature([[0.0, 2.0], [4.0, 6.0]], 0.0)]
@@ -168,10 +200,9 @@ class TestCompressStream:
         )
         u = units[0]
         assert u.kind == POOLED
-        assert u.data.shape == (1, 2)
-        assert u.data[0].tolist() == [2.0, 4.0]
+        assert u.num_frames == 1
         assert u.patch_count == 2  # original patches remembered for accounting
-        assert u.tokens == 1
+        assert u.tokens == 1  # one mean-pooled token per frame
 
     def test_zero_norm_embedding_scores_minus_one(self):
         event = filled_event(1, n_frames=1, patches=2, dim=2)
@@ -217,6 +248,13 @@ class TestCompressStream:
         event = filled_event(1, 1, 1, 2)
         with pytest.raises(DimensionMismatchError):
             compress_stream([event], [EventEmbedding([1.0, 0.0, 0.0], "t")], [1.0, 0.0])
+
+    def test_dim_mismatch_names_the_event_and_its_summarizer(self):
+        events = [filled_event(1, 1, 1, 2), filled_event(2, 1, 1, 2, t0=5.0)]
+        embeddings = [EventEmbedding([1.0, 0.0], "a"), EventEmbedding([1.0, 0.0, 0.0], "wide-one")]
+        with pytest.raises(DimensionMismatchError) as info:
+            compress_stream(events, embeddings, [1.0, 0.0])
+        assert str(info.value) == "event 2 embedding from wide-one has dim 3 != question dim 2"
 
 
 class TestAccounting:

@@ -53,3 +53,16 @@ def test_deleted_members_are_gone():
     assert params["frames"].kind is inspect.Parameter.KEYWORD_ONLY
     assert params["frames"].default is inspect.Parameter.empty
     assert "segment_seconds" not in {f.name for f in dataclasses.fields(streamctx.SyntheticSpec)}
+
+
+def test_events_and_units_hold_no_token_arrays():
+    assert [f.name for f in dataclasses.fields(streamctx.Event)] == [
+        "event_id", "frame_indices", "prefix", "time_centroid", "start_s", "end_s",
+    ]
+    assert [f.name for f in dataclasses.fields(streamctx.VisualUnit)] == [
+        "kind", "event_id", "num_frames", "patch_count", "relevance", "start_s", "time_centroid",
+    ]
+    for name in ("frames", "pooled", "feature_centroid", "cluster_index"):
+        assert not hasattr(streamctx.Event, name)
+    for name in ("data", "timestamps"):
+        assert not hasattr(streamctx.VisualUnit, name)

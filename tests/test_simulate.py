@@ -1,8 +1,9 @@
 import hashlib
 import importlib
 import json
+import re
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import jsonschema
 import numpy as np
@@ -18,7 +19,7 @@ from streamctx.errors import (
     ManifestError,
     ProviderError,
 )
-from streamctx.providers import EchoGenerator, HashingQuestionEmbedder
+from streamctx.providers import EchoGenerator, HashingQuestionEmbedder, JsonProviderClient
 from streamctx.retrieval import DialogueHistory, RetrievalMetrics, micro_metrics
 from streamctx.simulate import (
     REPORT_LINE_SCHEMA,
@@ -38,6 +39,7 @@ from streamctx.synthetic import SyntheticSpec, build_synthetic, make_synthetic
 
 from conftest import other_json_type
 from test_clustering import _kmeanspp_reference
+from test_reference_replay import FaultySummarizer
 
 
 class TestEngineConfig:
@@ -431,6 +433,67 @@ class TestSimulateFailureModes:
         assert {r["error"]["type"] for r in report.records} == {"ProviderError"}
         assert all("NaN or infinite" in r["error"]["message"] for r in report.records)
 
+    @pytest.mark.parametrize("wire", [False, True], ids=["in-process", "json-client"])
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            lambda f: f[0],  # 1-D
+            lambda f: f[None],  # 3-D
+            lambda f: f[:0],  # no row
+            lambda f: np.full_like(f, np.nan),
+        ],
+        ids=["1-d", "3-d", "no-row", "nan"],
+    )
+    def test_a_malformed_summarizer_reply_fails_only_its_question(
+        self, default_session, malformed, wire
+    ):
+        replies = []
+
+        def reply(features):
+            """Malformed the first time, then the features themselves."""
+            replies.append(features)
+            return malformed(features) if len(replies) == 1 else features
+
+        if wire:
+            def transport(url, body):
+                return {"hidden_states": reply(np.asarray(body["features"])).tolist()}
+
+            summarizer = JsonProviderClient("http://unit.test", transport, provider_id="wired")
+        else:
+            class InProcess:
+                provider_id = "wired"
+
+                def hidden_states(self, features, prompt):
+                    return reply(features)
+
+            summarizer = InProcess()
+        report = simulate(
+            default_session.manifest,
+            0,
+            EngineConfig(),
+            frames=default_session.frames,
+            providers=ProviderSet(summarizer=summarizer),
+        )
+        first, *rest = report.records
+        assert first["error"]["type"] == "ProviderError"
+        assert first["error"]["message"].startswith("summarizer wired reply for event 1 ")
+        assert not any("error" in rec for rec in rest)
+        assert report.summary["failed_questions"] == 1
+
+    def test_a_too_wide_summary_names_its_summarizer(self, default_session):
+        report = simulate(
+            default_session.manifest,
+            0,
+            EngineConfig(),
+            frames=default_session.frames,
+            providers=ProviderSet(summarizer=FaultySummarizer(salt=1, every=2)),
+        )
+        wide = [r["error"]["message"] for r in report.records
+                if r.get("error", {}).get("type") == "DimensionMismatchError"]
+        assert wide
+        assert all(re.fullmatch(r"event \d+ embedding from faulty-summarizer has dim 9 "
+                                r"!= question dim 8", message) for message in wide)
+
     def test_a_bug_in_a_stage_crashes_the_run(self, default_session, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("a bug, not a bad input")
@@ -758,17 +821,18 @@ class TestPrefixReuse:
         # the next question summarizes the failed question's events again
         assert failing.payloads == clean.payloads[: first + 1] + clean.payloads[first:]
 
-    def test_cached_event_arrays_are_read_only(self, default_session, calls):
+    def test_events_hold_the_visible_prefix_and_copy_no_frame(self, default_session, calls):
         simulate(default_session.manifest, 0, EngineConfig(), frames=default_session.frames)
-        for _, _, events in calls["events_from"]:
+        assert calls["events_from"]
+        for (_, visible), _, events in calls["events_from"]:
+            for arr in (visible.timestamps, visible.features):
+                assert arr.flags.writeable is False
+                with pytest.raises(ValueError):
+                    arr[0] = 0
             for event in events:
-                for arr in (event.frames.timestamps, event.frames.features, event.pooled):
-                    assert arr.flags.writeable is False
-                    with pytest.raises(ValueError):
-                        arr[0] = 0
-                assert event.pooled is event.pooled  # built once, then kept
-                assert event.frames.features.shape == (len(event.frames), 2, 8)
-                assert event.pooled.shape == (len(event.frames), 8)
+                assert event.prefix is visible
+                assert event.num_frames == len(event.frame_indices)
+                assert not any(isinstance(getattr(event, f.name), np.ndarray) for f in fields(event))
 
     def test_one_question_embedder_per_run(self, default_session, calls):
         report = simulate(
