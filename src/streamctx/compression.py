@@ -110,13 +110,17 @@ def embed_question(question: str, embedder: TextEmbedder) -> np.ndarray:
     ``HashingQuestionEmbedder`` at the raw feature dimension, the space of the
     fallback event embeddings.  A question with no word (``QARecord``'s rule)
     is a ``ValueError`` before the embedder runs; any embedder failure, or a
-    reply that is not a finite vector, is a ``ProviderError``.
+    reply that is not a non-empty, finite 1-D array, is a ``ProviderError``
+    (the one reply check).
     """
     if not has_word(question):
         raise ValueError(f"question must hold a word, got {question!r}")
     with provider_call("question embedder failed"):
-        vector = np.asarray(embedder.embed(question), dtype=np.float64).reshape(-1)
-    return _finite(vector, "question embedder reply")
+        vector = np.asarray(embedder.embed(question), dtype=np.float64)
+    what = f"question embedder {embedder.provider_id} reply"
+    if vector.ndim != 1 or vector.size == 0:
+        raise ProviderError(f"{what} must be a non-empty 1-D array, got shape {vector.shape}")
+    return _finite(vector, what)
 
 
 def _finite(vector: np.ndarray, what: str) -> np.ndarray:

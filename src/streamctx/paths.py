@@ -17,9 +17,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidConfigError
-from .providers import RelevanceScorer
-from .store import DialoguePath, PathEntry, QARecord, SessionManifest
+from .errors import InvalidConfigError, ProviderError
+from .providers import RelevanceScorer, provider_call
+from .store import DialoguePath, PathEntry, QARecord, SessionManifest, json_typed
 from .text import tf_cosine
 
 logger = logging.getLogger(__name__)
@@ -63,20 +63,28 @@ def score_relevance(
 ) -> float:
     """Relevance of an earlier QA to the current one, on the [0, 7] scale.
 
-    The provider's numeric reply is clipped into range (and logged when that
-    actually changes it).  The offline fallback is 7x the term-frequency
-    cosine of the two QA texts, so verbatim dependence scores 7 and disjoint
-    topics score 0.
+    The scorer's reply must be a finite JSON number (``json_typed``: a bool
+    or a numeric string is not one); that, or any scorer failure, is a
+    ``ProviderError`` naming the scorer and the (current, prior) pair, for
+    in-process scorers and ``JsonProviderClient`` alike.  A number is
+    clipped into range (and logged when that actually changes it).  The
+    offline fallback is 7x the term-frequency cosine of the two QA texts, so
+    verbatim dependence scores 7 and disjoint topics score 0.
     """
     cur = {"question": current.question, "answer": current.answer}
     pri = {"question": prior.question, "answer": prior.answer}
     if scorer is not None:
-        raw = float(scorer.score(cur, pri))
-        clipped = min(max(raw, RELEVANCE_MIN), RELEVANCE_MAX)
+        what = f"scorer {scorer.provider_id} on ({current.qa_id}, {prior.qa_id})"
+        with provider_call(f"{what} failed"):
+            raw = scorer.score(cur, pri)
+        # chained comparisons stay exact for an int of any size, and NaN fails them
+        if not (json_typed(raw, float) and -math.inf < raw < math.inf):
+            raise ProviderError(f"{what} must reply with a finite number, got {raw!r:.80}")
+        clipped = float(min(max(raw, RELEVANCE_MIN), RELEVANCE_MAX))
         if clipped != raw:
             logger.warning(
                 "scorer %s returned %s for (%d, %d); clipped to %s",
-                getattr(scorer, "provider_id", "?"), raw, current.qa_id, prior.qa_id, clipped,
+                scorer.provider_id, raw, current.qa_id, prior.qa_id, clipped,
             )
         return clipped
     return RELEVANCE_MAX * tf_cosine(

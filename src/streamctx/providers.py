@@ -18,7 +18,12 @@ object carrying a ``kind`` discriminator:
         -> {"answer": "..."}
 
 ``JsonProviderClient`` speaks this format over any transport callable, so
-tests exercise the full encode/decode path without a network.
+tests exercise the full encode/decode path without a network.  It checks
+only that a reply holds its key.  Each role's rule for the value, and the
+conversion of whatever a provider raises (``provider_call``), live once, in
+the stage that asks: ``embed_event``, ``embed_question``, ``retrieve``,
+``score_relevance`` and ``answer``, for in-process providers and the client
+alike.
 """
 
 from __future__ import annotations
@@ -145,30 +150,7 @@ class EchoGenerator:
 
 
 # ---------------------------------------------------------------------------
-# wire helpers
-
-
-def summarize_request(features: np.ndarray, prompt: str) -> dict:
-    arr = np.asarray(features, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ProviderError(f"summarize features must be 2-D, got shape {arr.shape}")
-    return {"kind": "summarize", "features": arr.tolist(), "prompt": prompt}
-
-
-def embed_request(text: str) -> dict:
-    return {"kind": "embed", "text": text}
-
-
-def score_request(current: Mapping, prior: Mapping) -> dict:
-    return {
-        "kind": "score",
-        "current": {"question": current["question"], "answer": current["answer"]},
-        "prior": {"question": prior["question"], "answer": prior["answer"]},
-    }
-
-
-def generate_request(payload: str) -> dict:
-    return {"kind": "generate", "payload": payload}
+# the call boundary and the JSON client
 
 
 def _require(response: Mapping, key: str):
@@ -214,8 +196,11 @@ def _http_post_json(url: str, body: dict) -> Mapping:
 class JsonProviderClient:
     """All five provider roles over one endpoint speaking the wire format.
 
-    ``transport(url, body) -> response`` defaults to an HTTP POST; tests and
-    embedded deployments can pass any callable instead.
+    A plain codec: each role method sends its request through
+    ``transport(url, body) -> response`` (an HTTP POST by default; tests and
+    embedded deployments can pass any callable) and returns the reply's key,
+    arrays decoded as float64.  A reply without the key is a
+    ``ProviderError``; every other check is the asking stage's.
     """
 
     def __init__(self, endpoint: str, transport: Transport | None = None, provider_id: str | None = None):
@@ -223,36 +208,28 @@ class JsonProviderClient:
         self.provider_id = provider_id or f"json:{endpoint}"
         self._transport = transport or _http_post_json
 
-    def _call(self, body: dict) -> Mapping:
-        with provider_call("provider transport failed"):
-            return self._transport(self.endpoint, body)
-
     def hidden_states(self, features: np.ndarray, prompt: str) -> np.ndarray:
-        resp = self._call(summarize_request(features, prompt))
-        return np.asarray(_require(resp, "hidden_states"), dtype=np.float64)
+        body = {"kind": "summarize", "features": np.asarray(features, dtype=np.float64).tolist(),
+                "prompt": prompt}
+        return np.asarray(_require(self._transport(self.endpoint, body), "hidden_states"),
+                          dtype=np.float64)
 
     def embed(self, text: str) -> np.ndarray:
-        resp = self._call(embed_request(text))
-        vec = np.asarray(_require(resp, "vector"), dtype=np.float64).reshape(-1)
-        if vec.size < 1:
-            raise ProviderError("embedding vector is empty")
-        return vec
+        body = {"kind": "embed", "text": text}
+        return np.asarray(_require(self._transport(self.endpoint, body), "vector"),
+                          dtype=np.float64)
 
     def select(self, request: Mapping) -> str:
-        reply = _require(self._call(dict(request)), "reply")
-        if not isinstance(reply, str):
-            raise ProviderError(f"retrieve reply must be a string, got {type(reply).__name__}")
-        return reply
+        return _require(self._transport(self.endpoint, dict(request)), "reply")
 
     def score(self, current: Mapping, prior: Mapping) -> float:
-        value = _require(self._call(score_request(current, prior)), "score")
-        try:
-            return float(value)
-        except (TypeError, ValueError) as exc:
-            raise ProviderError(f"relevance score is not numeric: {value!r}") from exc
+        body = {
+            "kind": "score",
+            "current": {"question": current["question"], "answer": current["answer"]},
+            "prior": {"question": prior["question"], "answer": prior["answer"]},
+        }
+        return _require(self._transport(self.endpoint, body), "score")
 
     def generate(self, payload: str) -> str:
-        answer = _require(self._call(generate_request(payload)), "answer")
-        if not isinstance(answer, str):
-            raise ProviderError(f"generated answer must be a string, got {type(answer).__name__}")
-        return answer
+        body = {"kind": "generate", "payload": payload}
+        return _require(self._transport(self.endpoint, body), "answer")

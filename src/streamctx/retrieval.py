@@ -142,8 +142,10 @@ class RetrievalOutput:
             raise ValueError(f"delta must be 0 or 1, got {self.delta}")
 
 
+#: ASCII only: a Unicode digit (``٣``, ``１``) or space is not the grammar's.
 _GRAMMAR = re.compile(
-    r"\s*delta\s*=\s*([01])\s*;\s*selected\s*=\s*((?:\d+\s*(?:,\s*\d+\s*)*)?)\s*"
+    r"\s*delta\s*=\s*([01])\s*;\s*selected\s*=\s*((?:\d+\s*(?:,\s*\d+\s*)*)?)\s*",
+    re.ASCII,
 )
 
 
@@ -156,10 +158,10 @@ def render_constrained(output: RetrievalOutput) -> str:
 def parse_constrained(text: str, valid_ids: Iterable[int] | None = None) -> RetrievalOutput:
     """Parse a provider reply against the constrained grammar.
 
-    Whitespace around tokens is tolerated, duplicate ids collapse, and when
-    ``valid_ids`` is given any id outside it is rejected.  Anything else —
-    prose, missing fields, stray characters — is a parse error carrying the
-    raw reply.
+    ASCII whitespace around tokens is tolerated, ids are ASCII digits,
+    duplicate ids collapse, and when ``valid_ids`` is given any id outside
+    it is rejected.  Anything else — prose, missing fields, stray
+    characters — is a parse error carrying the raw reply.
     """
     if not isinstance(text, str):
         raise RetrievalParseError(f"reply must be a string, got {type(text).__name__}")

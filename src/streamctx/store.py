@@ -342,10 +342,8 @@ class SessionManifest:
 def mean_pool(rows) -> np.ndarray:
     """Element-wise mean over the first axis of a non-empty (n, d) stack."""
     arr = np.asarray(rows, dtype=np.float64)
-    if arr.size == 0 or arr.shape[0] == 0:
-        raise ValueError("mean_pool requires at least one row")
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(f"mean_pool requires a non-empty (n, d) stack, got shape {arr.shape}")
     return arr.mean(axis=0)
 
 

@@ -18,6 +18,10 @@ DELETED = [
     ("streamctx.store", "cosine"),
     ("streamctx.errors", "DegenerateVectorError"),
     ("streamctx.retrieval", "_TermIndex"),
+    ("streamctx.providers", "summarize_request"),
+    ("streamctx.providers", "embed_request"),
+    ("streamctx.providers", "score_request"),
+    ("streamctx.providers", "generate_request"),
 ]
 
 
@@ -37,6 +41,9 @@ def test_deleted_names_are_gone(module, name):
 def test_deleted_members_are_gone():
     assert not hasattr(streamctx.SessionManifest, "qa_by_id")
     assert not hasattr(streamctx.JsonProviderClient, "judge")
+    assert {name for name in vars(streamctx.JsonProviderClient) if not name.startswith("_")} == {
+        "hidden_states", "embed", "select", "score", "generate",
+    }
     assert not hasattr(streamctx.DialogueHistory, "extended")
     assert list(inspect.signature(streamctx.DialogueHistory.overlaps).parameters) == [
         "self", "question",

@@ -95,6 +95,11 @@ class TestGrammar:
             "Sure!  delta=0;selected=1",
             "delta=0;selected=one",
             "selected=1;delta=0",
+            "delta=0;selected=\u0663",  # Arabic-Indic digit three
+            "delta=0;selected=\uff11",  # full-width digit one
+            "delta=\uff11;selected=",
+            "delta=0;selected=1,\u00a02",  # no-break space
+            "\u3000delta=0;selected=1",  # ideographic space
         ],
     )
     def test_malformed_replies_rejected(self, bad):

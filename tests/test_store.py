@@ -172,9 +172,13 @@ class TestMeanPool:
     def test_three_rows(self):
         assert mean_pool([[0, 0], [0, 0], [6, 3]]).tolist() == [2.0, 1.0]
 
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            mean_pool(np.zeros((0, 4)))
+    @pytest.mark.parametrize(
+        "rows", [np.zeros((0, 4)), np.zeros((3, 0)), [1.0, 2.0], [[[1.0, 2.0]]], 1.0],
+        ids=["no-row", "no-column", "1-d", "3-d", "0-d"],
+    )
+    def test_anything_but_a_non_empty_stack_raises(self, rows):
+        with pytest.raises(ValueError, match=r"non-empty \(n, d\) stack"):
+            mean_pool(rows)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(3)
