@@ -1,9 +1,10 @@
 """Compressing an event stream differently for different questions.
 
-Every event is scored against the current question; relevant events keep
-their full patch tokens while the rest collapse to one token per frame.
-The same stream therefore compresses differently depending on what is being
-asked -- that is the whole trick.
+Every event is scored against the current question (``event_relevance``);
+relevant events keep their full patch tokens while the rest collapse to one
+token per frame.  The same stream therefore compresses differently depending
+on what is being asked -- that is the whole trick.  The events and their
+units are built once; each question only picks a unit per event.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from streamctx import (
     compress_stream,
     compression_ratio,
     embed_question,
+    event_relevance,
     events_from,
     token_count,
 )
@@ -53,11 +55,12 @@ for question in (
 ):
     qvec = embed_question(question, embedder)
     units = compress_stream(events, embeddings, qvec, CompressionConfig(theta=0.45))
+    relevance = dict(zip([ev.event_id for ev in events], event_relevance(embeddings, qvec)))
     print(f"\nQ: {question}")
     for unit in units:
         print(
             f"  event {unit.event_id} ({CAPTIONS[unit.event_id]}): "
-            f"relevance {unit.relevance:+.2f} -> {unit.kind}, {unit.tokens} tokens"
+            f"relevance {relevance[unit.event_id]:+.2f} -> {unit.kind}, {unit.tokens} tokens"
         )
     print(
         f"  stream: {token_count(units)}/{original_token_count(units)} tokens, "

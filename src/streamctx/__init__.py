@@ -38,6 +38,7 @@ from .compression import (
     compression_ratio,
     embed_event,
     embed_question,
+    event_relevance,
     token_count,
 )
 from .errors import (
@@ -109,7 +110,7 @@ __all__ = [
     "events_from", "kmeanspp_init",
     # compression
     "CompressionConfig", "EventEmbedding", "VisualUnit", "compress_stream",
-    "compression_ratio", "embed_event", "embed_question", "token_count",
+    "compression_ratio", "embed_event", "embed_question", "event_relevance", "token_count",
     # retrieval
     "DialogueHistory", "HistoryItem", "RetrievalOutput", "RetrievalMetrics",
     "retrieve", "lexical_fallback", "parse_constrained", "render_constrained",

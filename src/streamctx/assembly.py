@@ -5,15 +5,21 @@ start time, text units by the time their question was asked, and on an exact
 tie the visual unit comes first (what was seen precedes what was said about
 it).  When retrieval raised the text-only flag (delta=1) the visual stream is
 dropped entirely — the question is about the conversation, not the video.
+
+A unit never changes once built, so its JSON block and its escaped layout
+line are encoded once, on first use, and kept while the unit lives; a
+rendering joins them.  A history turn is thus encoded once however many
+questions select it, and a visual unit once per prefix and mode.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
-from .compression import VisualUnit, token_count
+from .compression import VisualUnit
 from .errors import ProviderError
 from .providers import EchoGenerator, Generator, provider_call
 from .retrieval import HistoryItem
@@ -28,6 +34,55 @@ DEFAULT_TEMPLATE: Mapping[str, str] = {
     "text": "[{time:.3f}s] Q{qa_id}: {question} | A: {answer}",
     "question": "CURRENT QUESTION: {question}",
 }
+
+#: The payload's encoding: sorted keys, no whitespace, ASCII escapes.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+class _Fragment(NamedTuple):
+    """A unit's encoded JSON block, its layout line encoded as the inside of a
+    JSON string, and its tokens: a visual unit's, or a turn's word count."""
+
+    block: str
+    line: str
+    visual: bool
+    tokens: int
+
+
+#: Each unit's fragment, built on first use and dropped with the unit.
+_FRAGMENTS: "weakref.WeakKeyDictionary[ContextUnit, _Fragment]" = weakref.WeakKeyDictionary()
+
+
+def _fragment(unit: ContextUnit) -> _Fragment:
+    fragment = _FRAGMENTS.get(unit)
+    if fragment is None:
+        fragment = _FRAGMENTS[unit] = _encode_unit(unit)
+    return fragment
+
+
+def _encode_unit(unit: ContextUnit) -> _Fragment:
+    visual = isinstance(unit, VisualUnit)
+    if visual:
+        block = {
+            "kind": "visual",
+            "time": unit.start_s,
+            "event_id": unit.event_id,
+            "mode": unit.kind,
+            "frames": unit.num_frames,
+            "tokens": unit.tokens,
+        }
+        tokens = unit.tokens
+    else:
+        block = {
+            "kind": "text",
+            "time": unit.ask_time,
+            "qa_id": unit.qa_id,
+            "question": unit.question,
+            "answer": unit.answer,
+        }
+        tokens = len(unit.question.split()) + len(unit.answer.split())
+    line = DEFAULT_TEMPLATE[block["kind"]].format(**block)
+    return _Fragment(_encode(block), _encode(line)[1:-1], visual, tokens)
 
 
 def _sort_key(unit: ContextUnit) -> tuple[float, int, int]:
@@ -84,41 +139,26 @@ def render_layout(package: ContextPackage) -> str:
     """Serialize a package to the canonical generator payload (a JSON string).
 
     The payload carries both structured ``blocks`` and a rendered ``layout``
-    built from ``DEFAULT_TEMPLATE``; identical packages render byte-identically.
+    built from ``DEFAULT_TEMPLATE``, encoded with sorted keys and no
+    whitespace; identical packages render byte-identically.  It is built
+    from the units' cached fragments: JSON escapes each character on its
+    own, so the encoded ``"\\n".join`` of the lines is the join of the
+    encoded lines with an escaped newline.
     """
-    blocks = []
-    for unit in package.units:
-        if isinstance(unit, VisualUnit):
-            blocks.append(
-                {
-                    "kind": "visual",
-                    "time": unit.start_s,
-                    "event_id": unit.event_id,
-                    "mode": unit.kind,
-                    "frames": unit.num_frames,
-                    "tokens": unit.tokens,
-                }
-            )
-        else:
-            blocks.append(
-                {
-                    "kind": "text",
-                    "time": unit.ask_time,
-                    "qa_id": unit.qa_id,
-                    "question": unit.question,
-                    "answer": unit.answer,
-                }
-            )
-    lines = [DEFAULT_TEMPLATE[block["kind"]].format(**block) for block in blocks]
-    lines.append(DEFAULT_TEMPLATE["question"].format(question=package.current_question))
-    payload = {
-        "schema": PAYLOAD_SCHEMA,
-        "delta": package.delta,
-        "question": package.current_question,
-        "blocks": blocks,
-        "layout": "\n".join(lines),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _payload(package, [_fragment(unit) for unit in package.units])
+
+
+def _payload(package: ContextPackage, fragments: list[_Fragment]) -> str:
+    question = package.current_question
+    lines = [fragment.line for fragment in fragments]
+    lines.append(_encode(DEFAULT_TEMPLATE["question"].format(question=question))[1:-1])
+    return (
+        '{"blocks":[' + ",".join(fragment.block for fragment in fragments)
+        + '],"delta":' + _encode(package.delta)
+        + ',"layout":"' + "\\n".join(lines)
+        + '","question":' + _encode(question)
+        + ',"schema":' + _encode(PAYLOAD_SCHEMA) + "}"
+    )
 
 
 @dataclass(frozen=True)
@@ -144,12 +184,14 @@ def answer(
     shape, so streaming callers can log what was being answered; a reply
     that is not a non-empty string is a ProviderError too.
     """
-    payload = render_layout(package)
+    fragments = [_fragment(unit) for unit in package.units]
+    payload = _payload(package, fragments)
     gen = generator if generator is not None else EchoGenerator()
-    visual, text_units = package.visual_units, package.text_units
+    visual = [fragment.tokens for fragment in fragments if fragment.visual]
+    turns = [fragment.tokens for fragment in fragments if not fragment.visual]
     with provider_call(
         f"generator {getattr(gen, 'provider_id', '?')} failed on a package with "
-        f"{len(visual)} visual / {len(text_units)} text units"
+        f"{len(visual)} visual / {len(turns)} text units"
     ):
         text = gen.generate(payload)
     if not isinstance(text, str) or not text:
@@ -157,7 +199,7 @@ def answer(
     return AnswerRecord(
         qa_id=qa_id,
         answer=text,
-        visual_tokens=token_count(visual),
-        text_tokens=sum(len(u.question.split()) + len(u.answer.split()) for u in text_units),
+        visual_tokens=sum(visual),
+        text_tokens=sum(turns),
         provider_id=getattr(gen, "provider_id", "unknown"),
     )

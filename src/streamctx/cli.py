@@ -18,7 +18,14 @@ from pathlib import Path
 
 from . import __version__
 from .clustering import ClusterResult, choose_k, cluster, events_from
-from .compression import compress_stream, compression_ratio, embed_event, embed_question, token_count
+from .compression import (
+    compress_stream,
+    compression_ratio,
+    embed_event,
+    embed_question,
+    event_relevance,
+    token_count,
+)
 from .errors import InvalidConfigError, StreamContextError
 from .paths import RELEVANCE_THRESHOLD, PathConfig, attach_streams, build_relevant_sets, score_all_pairs
 from .providers import HashingQuestionEmbedder
@@ -69,6 +76,7 @@ def _cmd_compress(args) -> None:
     embeddings = [embed_event(ev) for ev in events]
     qvec = embed_question(args.question, HashingQuestionEmbedder(frames.dim))
     units = compress_stream(events, embeddings, qvec, config.compression_config())
+    relevance = {ev.event_id: r for ev, r in zip(events, event_relevance(embeddings, qvec))}
     _emit(
         args,
         {
@@ -80,7 +88,7 @@ def _cmd_compress(args) -> None:
                 {
                     "event_id": u.event_id,
                     "kind": u.kind,
-                    "relevance": u.relevance,
+                    "relevance": relevance[u.event_id],
                     "frames": u.num_frames,
                     "tokens": u.tokens,
                     "start_s": u.start_s,

@@ -1,19 +1,25 @@
 """Question-aware compression of an event stream.
 
-Every event gets a relevance score: the cosine between its embedding and the
-current question's embedding.  Preserve and pool decide the token
-accounting: an event at or above the threshold keeps its full patch tokens
-("preserved"), the rest one mean-pooled token per frame ("pooled").  No
-event disappears; units carry these counts, not token arrays.
+Every event gets a relevance score, ``event_relevance``: the cosine between
+its embedding and the current question's embedding.  Preserve and pool
+decide the token accounting: an event at or above the threshold keeps its
+full patch tokens ("preserved"), the rest one mean-pooled token per frame
+("pooled").  No event disappears; units carry these counts, not token
+arrays.
+
+Only the score depends on the question.  So the embeddings are stacked, and
+each event's preserved and pooled unit built, once per visible prefix; a
+question then costs one matrix-vector product and a pick per event, and
+every question on a prefix gets the same unit objects.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +35,8 @@ DEFAULT_THETA = 0.45
 
 PRESERVED = "preserved"
 POOLED = "pooled"
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -71,11 +79,10 @@ class VisualUnit:
     event_id: int
     num_frames: int
     patch_count: int
-    relevance: float
     start_s: float
     time_centroid: float
 
-    @property
+    @cached_property
     def tokens(self) -> int:
         return self.num_frames * (self.patch_count if self.kind == PRESERVED else 1)
 
@@ -130,56 +137,137 @@ def _finite(vector: np.ndarray, what: str) -> np.ndarray:
     return vector
 
 
+def event_relevance(embeddings: Sequence[EventEmbedding], question_vec) -> list[float]:
+    """Each embedding's relevance to the question: the one definition of the score.
+
+    Relevance is the cosine ``(e @ q) / (‖e‖ · ‖q‖)`` of the event embedding
+    ``e`` and the question embedding ``q``, clipped to [-1, 1], from each
+    embedding's cached norm and one question norm per call.  A zero-norm
+    vector on either side scores -1 (never preserved unless theta is -1) and
+    is logged rather than raised, since an all-zero event is valid input.
+    """
+    q = np.asarray(question_vec, dtype=np.float64).reshape(-1)
+    nq = float(np.linalg.norm(q))
+    scores = []
+    for emb in embeddings:
+        if emb.norm == 0.0 or nq == 0.0:
+            logger.warning(
+                "zero-norm %s; scoring -1 (always pooled)",
+                "question" if nq == 0.0 else f"embedding from {emb.provenance}",
+            )
+            scores.append(-1.0)
+        else:
+            scores.append(min(1.0, max(-1.0, float(emb.vector @ q) / (emb.norm * nq))))
+    return scores
+
+
+class _PrefixTable(NamedTuple):
+    """What compression needs of one prefix, whatever the question.
+
+    Rows are in output order (event time centroid, then id): each event's
+    embedding, their stack and norms, its pooled unit and, once a question
+    first keeps it, its preserved unit.  ``width`` is the embeddings' common
+    dimension, None when they disagree or are none.
+    """
+
+    width: int | None
+    ordered: tuple[EventEmbedding, ...]
+    stack: np.ndarray
+    norms: np.ndarray
+    pooled: tuple[VisualUnit, ...]
+    preserved: list[VisualUnit | None]
+
+
+@lru_cache(maxsize=1)
+def _prefix_table(
+    events: tuple[Event, ...], embeddings: tuple[EventEmbedding, ...]
+) -> _PrefixTable:
+    """The table of one prefix.  Events and embeddings hash by identity, so
+    every question on a prefix hits this cache, and it holds one prefix."""
+    if len(events) != len(embeddings):
+        raise DimensionMismatchError(
+            f"got {len(events)} events but {len(embeddings)} embeddings"
+        )
+    order = sorted(range(len(events)), key=lambda i: (events[i].time_centroid, events[i].event_id))
+    ordered = tuple(embeddings[i] for i in order)
+    widths = {emb.vector.shape[0] for emb in embeddings}
+    width = widths.pop() if len(widths) == 1 else None
+    return _PrefixTable(
+        width=width,
+        ordered=ordered,
+        stack=np.stack([emb.vector for emb in ordered]) if width is not None else np.empty((0, 0)),
+        norms=np.array([emb.norm for emb in ordered]),
+        pooled=tuple(
+            VisualUnit(
+                kind=POOLED,
+                event_id=events[i].event_id,
+                num_frames=events[i].num_frames,
+                patch_count=events[i].prefix.num_patches,
+                start_s=events[i].start_s,
+                time_centroid=events[i].time_centroid,
+            )
+            for i in order
+        ),
+        preserved=[None] * len(order),
+    )
+
+
 def compress_stream(
     events: Sequence[Event],
     embeddings: Sequence[EventEmbedding],
     question_vec,
     config: CompressionConfig = CompressionConfig(),
 ) -> list[VisualUnit]:
-    """Score every event against the question and compress the stream.
+    """Compress the stream for one question: each event's unit by its relevance.
 
-    Relevance is the cosine ``(e @ q) / (‖e‖ · ‖q‖)`` of the event embedding
-    ``e`` and the question embedding ``q``, clipped to [-1, 1], from each
-    embedding's cached norm and one question norm per call.  A zero-norm
-    vector on either side scores -1 (never preserved) and is logged rather
-    than raised, since an all-zero event is valid input.  Output units are
-    ordered by event time centroid.
+    An event is preserved when ``event_relevance`` of its embedding is at
+    least ``theta``.  Output units are ordered by event time centroid; an
+    embedding whose width is not the question's is a
+    ``DimensionMismatchError`` on every question.
+
+    The decision reads one GEMV, ``c = clip((E @ q) / (‖e‖ · ‖q‖))``, and
+    recomputes with ``event_relevance`` every row the rounding could put on
+    the other side of theta.  Bound, with n the width and u = eps/2: any
+    summation order of a dot of n products, the GEMV's and the per-event
+    one alike, is within n·u/(1 - n·u) · Σ|e_i q_i| of the true dot, plus
+    at most 2n·2^-1075 lost to subnormal results; Σ|e_i q_i| <= ‖e‖‖q‖.  So
+    the two dots differ by at most about 2n·u·‖e‖‖q‖ + n·2^-1073.  Both are
+    divided by the same float D = ‖e‖·‖q‖ (the computed norms are within
+    about n·u of the true ones), each division adds a relative error of u to
+    a value of about 1, and clipping never moves two values apart.  The two
+    scores thus differ by at most about (2n + 2)·u + n·2^-1073 / D, and
+    ``tol = (2n + 4)·eps + n·2^-1073 / D`` holds that with a margin of two.
+    A row whose GEMV score is more than ``tol`` from theta has its exact
+    score on the same side; every other row, and every row with D = 0
+    (NaN or infinite score, infinite ``tol``), is recomputed exactly.
     """
-    if len(events) != len(embeddings):
-        raise DimensionMismatchError(
-            f"got {len(events)} events but {len(embeddings)} embeddings"
-        )
+    table = _prefix_table(tuple(events), tuple(embeddings))
     q = np.asarray(question_vec, dtype=np.float64).reshape(-1)
-    for event, emb in zip(events, embeddings):
-        if emb.vector.shape != q.shape:
-            raise DimensionMismatchError(
-                f"event {event.event_id} embedding from {emb.provenance} has dim "
-                f"{emb.vector.shape[0]} != question dim {q.shape[0]}"
-            )
+    if q.shape != (table.width,):
+        for event, emb in zip(events, embeddings):
+            if emb.vector.shape != q.shape:
+                raise DimensionMismatchError(
+                    f"event {event.event_id} embedding from {emb.provenance} has dim "
+                    f"{emb.vector.shape[0]} != question dim {q.shape[0]}"
+                )
+    if not table.pooled:
+        return []
 
-    nq = float(np.linalg.norm(q))
-    units = []
-    for event, emb in zip(events, embeddings):
-        if emb.norm == 0.0 or nq == 0.0:
-            logger.warning(
-                "zero-norm embedding for event %d; scoring -1 (always pooled)", event.event_id
-            )
-            score = -1.0
-        else:
-            score = min(1.0, max(-1.0, float(emb.vector @ q) / (emb.norm * nq)))
-        preserved = score >= config.theta
-        units.append(
-            VisualUnit(
-                kind=PRESERVED if preserved else POOLED,
-                event_id=event.event_id,
-                num_frames=event.num_frames,
-                patch_count=event.prefix.num_patches,
-                relevance=score,
-                start_s=event.start_s,
-                time_centroid=event.time_centroid,
-            )
-        )
-    units.sort(key=lambda u: (u.time_centroid, u.event_id))
+    n = q.shape[0]
+    denominators = table.norms * float(np.linalg.norm(q))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.clip((table.stack @ q) / denominators, -1.0, 1.0)
+        tol = (2 * n + 4) * _EPS + n * 2.0**-1073 / denominators
+    keep = scores >= config.theta
+    rows = (~(np.abs(scores - config.theta) > tol)).nonzero()[0]
+    if rows.size:
+        exact = event_relevance([table.ordered[i] for i in rows], q)
+        keep[rows] = np.asarray(exact) >= config.theta
+    units = list(table.pooled)
+    for i in keep.nonzero()[0].tolist():
+        if table.preserved[i] is None:
+            table.preserved[i] = replace(table.pooled[i], kind=PRESERVED)
+        units[i] = table.preserved[i]
     return units
 
 

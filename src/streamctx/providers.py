@@ -155,7 +155,7 @@ class EchoGenerator:
 
 def _require(response: Mapping, key: str):
     if not isinstance(response, Mapping) or key not in response:
-        raise ProviderError(f"provider response is missing {key!r}: {response!r}")
+        raise ProviderError(f"provider response is missing {key!r}: {response!r:.80}")
     return response[key]
 
 

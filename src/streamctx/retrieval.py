@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,9 +37,13 @@ DELTA_OVERLAP = 0.8
 RECALL_CUES = ("what did i ask", "how did you respond", "you said")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HistoryItem:
-    """One past turn: the question, the answer it got, and when it was asked."""
+    """One past turn: the question, the answer it got, and when it was asked.
+
+    Turns hash by identity, as events and units do: a turn is one entry of
+    one log, and caches keyed on it stay cheap to look up.
+    """
 
     qa_id: int
     question: str
@@ -59,7 +63,7 @@ class DialogueHistory:
 
     def __init__(self, items: Iterable[HistoryItem] = ()):
         self._items: list[HistoryItem] = []
-        self._ids: set[int] = set()
+        self._row_of: dict[int, int] = {}
         self._columns: dict[str, int] = {}
         self._cols = np.empty(64, dtype=np.int64)
         self._counts = np.empty(64, dtype=np.int64)
@@ -75,7 +79,7 @@ class DialogueHistory:
 
     @property
     def ids(self) -> frozenset[int]:
-        return frozenset(self._ids)
+        return frozenset(self._row_of)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -85,7 +89,7 @@ class DialogueHistory:
 
     def append(self, item: HistoryItem) -> None:
         """Add ``item`` as the latest turn; a refused turn changes nothing."""
-        if item.qa_id in self._ids:
+        if item.qa_id in self._row_of:
             raise ValueError("dialogue history repeats a qa_id")
         if self._items and item.ask_time < self._items[-1].ask_time:
             raise ValueError("dialogue history ask times must be non-decreasing")
@@ -105,7 +109,11 @@ class DialogueHistory:
         self._norms_sq[row] = sum(c * c for c in terms.values())
         self._ends.append(stop)
         self._items.append(item)
-        self._ids.add(item.qa_id)
+        self._row_of[item.qa_id] = row
+
+    def turns(self, qa_ids: Iterable[int]) -> list[HistoryItem]:
+        """The turns with these ids, in log order, looked up by row."""
+        return [self._items[row] for row in sorted(self._row_of[i] for i in qa_ids)]
 
     def overlaps(self, question: str) -> np.ndarray:
         """``tf_cosine(question, item text)`` for every item, bitwise.
@@ -290,8 +298,11 @@ class RetrievalMetrics:
 
     def to_dict(self) -> dict:
         """The counts, then the metrics derived from them."""
-        rates = ("accuracy", "precision", "recall", "f1")
-        return {**asdict(self), **{name: getattr(self, name) for name in rates}}
+        return {
+            "tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
+            "accuracy": self.accuracy, "precision": self.precision,
+            "recall": self.recall, "f1": self.f1,
+        }
 
 
 def score_retrieval(

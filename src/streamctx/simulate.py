@@ -48,6 +48,7 @@ from .clustering import (
 )
 from .compression import (
     DEFAULT_THETA,
+    PRESERVED,
     CompressionConfig,
     EventEmbedding,
     compress_stream,
@@ -315,10 +316,11 @@ def simulate(
                     f"no finished segment before ask_time {entry.ask_time}"
                 )
             k = choose_k(len(visible), config.cluster_ratio)
-            known = dict(summaries)
             if last is not None and last[0] == finished:
                 _, result, events, embeddings = last
+                known = summaries
             else:
+                known = dict(summaries)
                 seed = _question_seed(config.seed, finished)
                 result = cluster(visible, config.cluster_config(k, seed))
                 events = events_from(result, visible)
@@ -329,13 +331,14 @@ def simulate(
             qvec = embed_question(qa.question, question_embedder)
             units = compress_stream(events, embeddings, qvec, compression)
             retrieval = select(history, qa.question, entry.gold_relevant)
-            selected_items = [h for h in history if h.qa_id in retrieval.selected_ids]
+            confusion = score_retrieval(retrieval, entry.gold_relevant, history.ids)
+            selected_items = history.turns(retrieval.selected_ids)
 
             package = assemble(units, selected_items, retrieval.delta, qa.question)
             answer_record = generate_answer(package, prov.generator, qa_id=qa.qa_id)
             generated_answer = answer_record.answer
 
-            confusion = score_retrieval(retrieval, entry.gold_relevant, history.ids)
+            preserved = sum(unit.kind == PRESERVED for unit in units)
             record.update(
                 {
                     "num_frames": len(visible),
@@ -343,8 +346,8 @@ def simulate(
                     "cluster_iterations": result.iterations,
                     "cluster_delta": result.final_delta,
                     "num_events": len(events),
-                    "preserved_events": sum(1 for u in units if u.kind == "preserved"),
-                    "pooled_events": sum(1 for u in units if u.kind == "pooled"),
+                    "preserved_events": preserved,
+                    "pooled_events": len(units) - preserved,
                     "compression_ratio": compression_ratio(units),
                     "visual_tokens": answer_record.visual_tokens,
                     "text_tokens": answer_record.text_tokens,

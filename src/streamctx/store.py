@@ -383,8 +383,8 @@ def load_embeddings(path) -> FrameBlock:
     _, version, n, p, d = _HEADER.unpack_from(data)
     if version != FORMAT_VERSION:
         raise VersionMismatchError(f"unsupported format version {version}, expected {FORMAT_VERSION}")
-    if p < 1 or d < 1:
-        raise EmbeddingFormatError(f"patch shape ({p}, {d}) must be at least (1, 1)")
+    if p < 1 or d < 1 or 4 * p * d > np.iinfo(np.intp).max:
+        raise EmbeddingFormatError(f"patch shape ({p}, {d}) must be at least (1, 1) and fit one array")
     expected = _HEADER.size + 8 * n + 4 * n * p * d
     if len(data) < expected:
         raise TruncatedPayloadError(

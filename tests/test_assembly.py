@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamctx.assembly import (
+    DEFAULT_TEMPLATE,
     PAYLOAD_SCHEMA,
     AnswerRecord,
     ContextPackage,
@@ -21,7 +24,6 @@ def visual_unit(event_id, start_s, *, kind=PRESERVED, n_frames=2, patches=3):
         event_id=event_id,
         num_frames=n_frames,
         patch_count=patches,
-        relevance=0.9 if kind == PRESERVED else 0.1,
         start_s=start_s,
         time_centroid=start_s + (n_frames - 1) / 2,
     )
@@ -101,6 +103,76 @@ class TestRenderLayout:
         pkg = assemble([visual_unit(3, 1.0, n_frames=4, patches=5)], [], 0, "q")
         block = json.loads(render_layout(pkg))["blocks"][0]
         assert block["tokens"] == 20 and block["frames"] == 4 and block["mode"] == "preserved"
+
+
+def reference_render(package):
+    """The whole-payload encoding ``render_layout``'s fragment join must equal."""
+    blocks = []
+    for unit in package.units:
+        if isinstance(unit, VisualUnit):
+            blocks.append({"kind": "visual", "time": unit.start_s, "event_id": unit.event_id,
+                           "mode": unit.kind, "frames": unit.num_frames, "tokens": unit.tokens})
+        else:
+            blocks.append({"kind": "text", "time": unit.ask_time, "qa_id": unit.qa_id,
+                           "question": unit.question, "answer": unit.answer})
+    lines = [DEFAULT_TEMPLATE[block["kind"]].format(**block) for block in blocks]
+    lines.append(DEFAULT_TEMPLATE["question"].format(question=package.current_question))
+    payload = {
+        "schema": PAYLOAD_SCHEMA,
+        "delta": package.delta,
+        "question": package.current_question,
+        "blocks": blocks,
+        "layout": "\n".join(lines),
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+#: Text that JSON escapes, that str.format could misread, or that spans code units.
+_texts = st.lists(
+    st.one_of(
+        st.characters(codec=None, exclude_categories=()),  # lone surrogates included
+        st.sampled_from(['"', "\\", "\n", "\r", "\t", "\x00", "\x7f", "\u2028", "\u2029",
+                         "\ud800", "\udfff", "\U0001f600", "{", "}", "{question}", "é", "\u00a0"]),
+    ),
+    max_size=12,
+).map("".join)
+_times = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e-7, 1e16, 5e-324, 1.7976931348623157e308, 0.0005, 0.0015]),
+)
+_visual_units = st.builds(
+    VisualUnit,
+    kind=st.sampled_from([PRESERVED, POOLED]),
+    event_id=st.integers(1, 10**6),
+    num_frames=st.integers(1, 10**4),
+    patch_count=st.integers(1, 10**4),
+    start_s=_times,
+    time_centroid=_times,
+)
+_text_items = st.builds(HistoryItem, qa_id=st.integers(0, 10**9), question=_texts,
+                        answer=_texts, ask_time=_times)
+
+
+class TestFragmentJoin:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_visual_units, max_size=6),
+        st.lists(_text_items, max_size=6),
+        st.sampled_from([0, 1]),
+        _texts,
+        _texts,
+    )
+    def test_render_equals_the_whole_payload_encoding(self, visual, texts, delta, q1, q2):
+        first = assemble(visual, texts, delta, q1)
+        # the same units again, so the second rendering reads cached fragments
+        second = assemble(visual[::2], texts[1::2], 1 - delta, q2)
+        for package in (first, second, first):
+            assert render_layout(package) == reference_render(package)
+
+    def test_an_empty_package_renders_only_the_question(self):
+        package = assemble([], [], 1, 'say "\u2028"')
+        assert render_layout(package) == reference_render(package)
+        assert json.loads(render_layout(package))["blocks"] == []
 
 
 class _FailingGenerator:

@@ -14,6 +14,7 @@ from streamctx.compression import (
     compression_ratio,
     embed_event,
     embed_question,
+    event_relevance,
     original_token_count,
     token_count,
 )
@@ -167,7 +168,7 @@ class TestCompressStream:
             [event], [EventEmbedding([3.0, 4.0], "t")], [1.0, 0.0], CompressionConfig(theta=0.6)
         )
         assert units[0].kind == PRESERVED
-        assert units[0].relevance == 0.6
+        assert event_relevance([EventEmbedding([3.0, 4.0], "t")], [1.0, 0.0]) == [0.6]
 
     def test_below_threshold_pools(self):
         event = filled_event(1, n_frames=2, patches=3, dim=2)
@@ -175,7 +176,7 @@ class TestCompressStream:
             [event], [EventEmbedding([0.0, 1.0], "t")], [1.0, 0.0], CompressionConfig(theta=0.6)
         )
         assert units[0].kind == POOLED
-        assert units[0].relevance == 0.0
+        assert event_relevance([EventEmbedding([0.0, 1.0], "t")], [1.0, 0.0]) == [0.0]
 
     def test_preserved_keeps_full_patch_grid(self):
         frames = [
@@ -204,19 +205,23 @@ class TestCompressStream:
         assert u.patch_count == 2  # original patches remembered for accounting
         assert u.tokens == 1  # one mean-pooled token per frame
 
-    def test_zero_norm_embedding_scores_minus_one(self):
+    def test_zero_norm_embedding_scores_minus_one(self, caplog):
         event = filled_event(1, n_frames=1, patches=2, dim=2)
-        units = compress_stream(
-            [event], [EventEmbedding([0.0, 0.0], "t")], [1.0, 0.0], CompressionConfig(theta=-1.0)
-        )
-        assert units[0].relevance == -1.0
+        zero = EventEmbedding([0.0, 0.0], "t")
+        units = compress_stream([event], [zero], [1.0, 0.0], CompressionConfig(theta=-1.0))
+        assert event_relevance([zero], [1.0, 0.0]) == [-1.0]
         assert units[0].kind == PRESERVED  # -1 >= theta == -1 still passes the gate
+        assert "zero-norm embedding from t" in caplog.text
 
     def test_zero_norm_question_scores_minus_one(self, caplog):
         event = filled_event(1, n_frames=1, patches=2, dim=2)
-        units = compress_stream([event], [EventEmbedding([1.0, 0.0], "t")], [0.0, 0.0])
-        assert units[0].relevance == -1.0
-        assert "zero-norm embedding for event 1" in caplog.text
+        emb = EventEmbedding([1.0, 0.0], "t")
+        units = compress_stream([event], [emb], [0.0, 0.0])
+        assert units[0].kind == POOLED
+        assert "zero-norm question" in caplog.text
+        caplog.clear()
+        assert event_relevance([emb], [0.0, 0.0]) == [-1.0]
+        assert "zero-norm question" in caplog.text
 
     def test_relevances_equal_store_cosine_bitwise(self):
         rng = np.random.default_rng(8)
@@ -226,8 +231,37 @@ class TestCompressStream:
                     for _ in range(6)]
             events = [filled_event(i, 1, 1, dim, t0=float(i)) for i in range(1, 7)]
             q = rng.normal(size=dim)
+            relevance = event_relevance(embs, q)
+            assert relevance == [cosine(e.vector, q) for e in embs]
             units = compress_stream(events, embs, q)
-            assert [u.relevance for u in units] == [cosine(e.vector, q) for e in embs]
+            assert [u.kind == PRESERVED for u in units] == [r >= DEFAULT_THETA for r in relevance]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 64),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([-1, 0, 1]),
+        st.sampled_from([1e-300, 1e-160, 1e-150, 1e-6, 1.0, 1e6, 1e150]),
+    )
+    def test_the_gemv_decides_as_the_exact_score_within_ulps_of_theta(
+        self, dim, n_events, seed, step, scale
+    ):
+        # theta lands on an exact relevance or one ulp beside it, where the
+        # GEMV's rounding alone could put the event on the wrong side
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=dim)
+        base = rng.normal(size=dim)
+        embs = [
+            EventEmbedding((base + rng.normal(size=dim) * 10.0 ** rng.integers(-16, 1)) * scale, "t")
+            for _ in range(n_events)
+        ]
+        events = [filled_event(i, 1, 1, dim, t0=float(i)) for i in range(1, n_events + 1)]
+        relevance = event_relevance(embs, q)
+        theta = float(relevance[int(rng.integers(n_events))])
+        theta = float(np.clip(np.nextafter(theta, step * np.inf) if step else theta, -1.0, 1.0))
+        units = compress_stream(events, embs, q, CompressionConfig(theta=theta))
+        assert [u.kind for u in units] == [PRESERVED if r >= theta else POOLED for r in relevance]
 
     def test_units_sorted_by_time_centroid(self):
         late = filled_event(1, n_frames=1, patches=1, dim=2, t0=50.0)

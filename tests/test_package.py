@@ -1,6 +1,9 @@
 import dataclasses
 import importlib
+import importlib.util
 import inspect
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,9 +70,31 @@ def test_events_and_units_hold_no_token_arrays():
         "event_id", "frame_indices", "prefix", "time_centroid", "start_s", "end_s",
     ]
     assert [f.name for f in dataclasses.fields(streamctx.VisualUnit)] == [
-        "kind", "event_id", "num_frames", "patch_count", "relevance", "start_s", "time_centroid",
+        "kind", "event_id", "num_frames", "patch_count", "start_s", "time_centroid",
     ]
     for name in ("frames", "pooled", "feature_centroid", "cluster_index"):
         assert not hasattr(streamctx.Event, name)
     for name in ("data", "timestamps"):
         assert not hasattr(streamctx.VisualUnit, name)
+
+
+def test_simulate_keeps_what_the_benchmark_tracer_wraps(monkeypatch):
+    """``replaybench/tracing.py`` swaps these globals of ``streamctx.simulate``
+    and calls ``compress_stream`` positionally; a rename breaks traced runs."""
+    path = Path(__file__).resolve().parent.parent / "replaybench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("replaybench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    assert sorted(tracing.SIMULATE_CALLS) == sorted([
+        "cluster", "events_from", "embed_event", "embed_question",
+        "compress_stream", "retrieve", "assemble", "generate_answer",
+    ])
+    module = importlib.import_module("streamctx.simulate")
+    for name in tracing.SIMULATE_CALLS:
+        assert callable(getattr(module, name, None)), name
+    assert list(inspect.signature(module.compress_stream).parameters) == [
+        "events", "embeddings", "question_vec", "config",
+    ]
+    qa_id = inspect.signature(module.generate_answer).parameters["qa_id"]
+    assert qa_id.kind is inspect.Parameter.KEYWORD_ONLY

@@ -242,6 +242,15 @@ class TestJsonProviderClient:
         with pytest.raises(ProviderError):
             call(client)
 
+    def test_a_large_reply_missing_its_key_gives_a_short_message(self):
+        # a failed record stores this message, so the reply is cut, not dumped
+        client, _ = self.make({"embed": {"vec": list(range(5000))}})
+        with pytest.raises(ProviderError) as info:
+            client.embed("q")
+        message = str(info.value)
+        assert message.startswith("provider response is missing 'vector': {'vec': [0, 1, 2")
+        assert len(message) < 200
+
 
 # ---------------------------------------------------------------------------
 # one rule per role, whichever transport carries the reply

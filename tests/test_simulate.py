@@ -2,7 +2,7 @@ import hashlib
 import importlib
 import json
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import fields, replace
 
 import jsonschema
@@ -741,6 +741,35 @@ class TestPrefixReuse:
             assert len({tuple(rec[key] for key in keys) for rec in group}) == 1
             ratios.add(group[0]["compression_ratio"])
         assert len(ratios) > 1  # the split is not trivially all-preserved or all-pooled
+
+    def test_units_are_built_once_per_prefix_and_turns_encoded_once(
+        self, surviving_events, calls, monkeypatch
+    ):
+        module = importlib.import_module("streamctx.assembly")
+        encoded, encode = Counter(), module._encode_unit
+        monkeypatch.setattr(
+            module, "_encode_unit", lambda unit: encoded.update([id(unit)]) or encode(unit)
+        )
+        session = surviving_events
+        report = simulate(session.manifest, 0, EngineConfig(retrieval_mode="oracle", theta=0.0),
+                          frames=session.frames)
+        assert report.summary["failed_questions"] == 0
+
+        by_prefix = defaultdict(list)
+        for (_, _, units), rec in zip(calls["compress_stream"], report.records):
+            by_prefix[rec["num_frames"]].append(units)
+        assert any(len(group) > 1 for group in by_prefix.values())
+        for group in by_prefix.values():
+            seen = {}
+            for units in group:
+                for unit in units:
+                    assert seen.setdefault((unit.event_id, unit.kind), unit) is unit
+
+        selected = [turn for args, _, _ in calls["assemble"] for turn in args[1]]
+        assert len(selected) > len({turn.qa_id for turn in selected})  # turns picked again
+        packaged = [unit for _, _, package in calls["assemble"] for unit in package.units]
+        assert set(encoded.values()) == {1}
+        assert set(encoded) == {id(unit) for unit in packaged}
 
     @pytest.mark.parametrize("role", ["summarizer", "generator"])
     def test_failed_question_caches_nothing(self, default_session, calls, role):

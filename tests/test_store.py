@@ -1,5 +1,6 @@
 import copy
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from streamctx.errors import (
     VersionMismatchError,
 )
 from streamctx.store import (
+    FORMAT_VERSION,
+    MAGIC,
     QA_TIERS,
     FrameBlock,
     FrameFeature,
@@ -246,6 +249,13 @@ class TestEmbeddingFiles:
         data[4] = 9
         path.write_bytes(bytes(data))
         with pytest.raises(VersionMismatchError):
+            load_embeddings(path)
+
+    def test_an_empty_file_with_a_patch_shape_no_array_holds(self, tmp_path):
+        # no frame, so no size check fails, yet (0, p, d) is too large to reshape to
+        path = tmp_path / "f.bin"
+        path.write_bytes(struct.pack("<4sIIII", MAGIC, FORMAT_VERSION, 0, 2**32 - 1, 2**32 - 1))
+        with pytest.raises(EmbeddingFormatError, match="fit one array"):
             load_embeddings(path)
 
     def test_truncated_payload(self, tmp_path):
