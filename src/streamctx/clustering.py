@@ -102,8 +102,9 @@ def _rowwise_minmax(mat: np.ndarray) -> np.ndarray:
     # to all zeros instead of dividing by zero.
     low = mat.min(axis=1, keepdims=True)
     span = mat.max(axis=1, keepdims=True) - low
-    out = np.zeros_like(mat)
-    np.divide(mat - low, span, out=out, where=span > 0)
+    span[span == 0] = 1.0  # a constant row is all zeros after the shift
+    out = mat - low
+    out /= span
     return out
 
 
@@ -132,7 +133,11 @@ def _feature_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def _composite(d_feat: np.ndarray, d_time: np.ndarray, alpha_time: float) -> np.ndarray:
     nf = _rowwise_minmax(d_feat)
     nt = _rowwise_minmax(d_time)
-    return np.sqrt(nf**2 + alpha_time * nt**2)
+    nf *= nf
+    nt *= nt
+    nt *= alpha_time
+    nf += nt
+    return np.sqrt(nf, out=nf)
 
 
 def _assign(
@@ -157,7 +162,9 @@ def _assign(
     the error), |g - d| <= sqrt(gamma)·(|x| + |c|).  The exact kernel rounds
     each difference once before squaring and summing, so its own value e has
     |e - d| <= gamma·d, which the margin lets us write as gamma·g.  Per row,
-    E = max_j of sqrt(gamma)·(|x| + |c_j|) + gamma·g_j bounds |g_j - e_j|.
+    E = sqrt(gamma)·(|x| + max_j |c_j|) + gamma·max_j g_j bounds every
+    |g_j - e_j|.  It is never below the per-entry maximum, so it can only
+    send more rows to the exact kernel, and it needs no (N, k) error matrix.
 
     Min-max rescaling shifts each entry's numerator and the span by at most
     2E, which moves a rescaled entry by at most 4E / (span - 2E) when
@@ -170,26 +177,37 @@ def _assign(
     every row with span <= 2E, is recomputed with the exact kernel; exact
     ties, duplicate frames and duplicate centroids all land there, so ties
     still break toward the lowest index.
-    """
-    if centroids.shape[0] == 1:  # a one-column row rescales to 0
-        return np.zeros(x.shape[0], dtype=np.intp)
 
-    d_time = np.abs(t[:, None] - taus[None, :])
+    ``g`` and the time distances are (k, N) arrays read through their
+    transposes, so every per-frame reduction runs across frames.  Min-max,
+    squares, sums and square roots are exact or elementwise, so the layout
+    changes no bit of any composite.
+    """
+    n, k = x.shape[0], centroids.shape[0]
+    if k == 1:  # a one-column row rescales to 0
+        return np.zeros(n, dtype=np.intp)
+
+    d_time = np.abs(t - taus[:, None]).T
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    g = x_sq[:, None] - 2.0 * (x @ centroids.T) + c_sq[None, :]
+    g = (centroids @ x.T).T  # built in place as |x|^2 - 2 x.c + |c|^2
+    g *= -2.0
+    g += x_sq[:, None]
+    g += c_sq
     np.sqrt(np.maximum(g, 0.0, out=g), out=g)
     comp = _composite(g, d_time, alpha_time)
     best = comp.argmin(axis=1)
 
     gamma = 2.0 * (x.shape[1] + 4) * _EPS
-    err = math.sqrt(gamma) * (np.sqrt(x_sq)[:, None] + np.sqrt(c_sq)[None, :]) + gamma * g
-    e_row = err.max(axis=1)
-    span = g.max(axis=1) - g.min(axis=1)
+    g_max = g.max(axis=1)
+    e_row = math.sqrt(gamma) * (np.sqrt(x_sq) + math.sqrt(c_sq.max())) + gamma * g_max
+    span = g_max - g.min(axis=1)
     slack = 4.0 * _EPS * (1.0 + math.sqrt(1.0 + alpha_time))
-    two = np.partition(comp, 1, axis=1)
+    first = comp.min(axis=1)
+    comp[np.arange(n), best] = np.inf
+    gap = comp.min(axis=1) - first  # 0 when the smallest value repeats
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = 4.0 * e_row / (span - 2.0 * e_row)
-        safe = (span > 2.0 * e_row) & (two[:, 1] - two[:, 0] > 2.0 * bound + slack)
+        safe = (span > 2.0 * e_row) & (gap > 2.0 * bound + slack)
     rows = np.flatnonzero(~safe)
     if rows.size:
         exact = _composite(_feature_distances(x[rows], centroids), d_time[rows], alpha_time)
@@ -203,14 +221,18 @@ def _kmeanspp_indices(
     """k-means++ seeding over flattened features only; returns k distinct rows.
 
     Each seed's squared distances come from one GEMV, ``|x|^2 - 2 x.c + |c|^2``,
-    with the squared frame norms ``x_sq`` (taken here when not given).  By the
-    bound in ``_assign``'s docstring this is within gamma·(|x| + |c|)^2 <=
-    4·gamma·max|x|^2 of the true value, so every row at or below that one
-    threshold is recomputed exactly as ``sum((x - c)^2)``.  Chosen frames and
-    their duplicates therefore sit at exactly 0 and are never drawn again, and
-    ``total > 0`` decides as the exact expression would.  Not covered: other
-    rows keep the expansion's rounding, which grows with |x|^2, so a draw
-    within it of a ``rng.choice`` CDF boundary may pick a neighbouring row.
+    with the squared frame norms ``x_sq`` (taken here when not given), built
+    in place in that order of operations.  By the bound in ``_assign``'s
+    docstring this is within gamma·(|x| + |c|)^2 <= 4·gamma·max|x|^2 of the
+    true value, so every row at or below that one threshold is recomputed
+    exactly as ``sum((x - c)^2)``.  The seed's own row is exactly 0 there,
+    so it is set to 0 and the recompute runs only when another row is that
+    near.  Chosen frames and their duplicates therefore sit at exactly 0 and
+    are never drawn again, and ``total > 0`` decides as the exact expression
+    would.  Not covered: other rows keep the expansion's rounding, which
+    grows with |x|^2, so a draw within it of a CDF boundary may pick a
+    neighbouring row.  Each draw is ``_draw``, which picks the row and
+    consumes the generator exactly as ``rng.choice(n, p=d2 / total)`` does.
 
     When every remaining candidate sits at squared distance zero from the
     chosen set (duplicate-heavy data), the next seed falls back to a uniform
@@ -223,9 +245,15 @@ def _kmeanspp_indices(
     near_zero = 4.0 * gamma * float(x_sq.max())
 
     def dist2(c: int) -> np.ndarray:
-        g = x_sq - 2.0 * (x @ x[c]) + x_sq[c]
-        rows = np.flatnonzero(g <= near_zero)
-        g[rows] = np.sum((x[rows] - x[c]) ** 2, axis=1)
+        g = x @ x[c]  # in place: the same bits as x_sq - 2 x.c + x_sq[c]
+        g *= -2.0
+        g += x_sq
+        g += x_sq[c]
+        g[c] = 0.0
+        near = g <= near_zero
+        if np.count_nonzero(near) > 1:
+            rows = np.flatnonzero(near)
+            g[rows] = np.sum((x[rows] - x[c]) ** 2, axis=1)
         return g
 
     chosen = [int(rng.integers(n))]
@@ -233,13 +261,25 @@ def _kmeanspp_indices(
     for _ in range(1, k):
         total = d2.sum()
         if total > 0:
-            nxt = int(rng.choice(n, p=d2 / total))
+            nxt = _draw(d2 / total, rng)
         else:
             pool = np.setdiff1d(np.arange(n), np.asarray(chosen))
             nxt = int(rng.choice(pool))
         chosen.append(nxt)
         np.minimum(d2, dist2(nxt), out=d2)
     return np.asarray(chosen)
+
+
+def _draw(p: np.ndarray, rng: np.random.Generator) -> int:
+    """``int(rng.choice(p.size, p=p))`` without its argument checks.
+
+    The same steps ``Generator.choice`` takes for one draw with replacement:
+    the normalized cumulative sum, one ``rng.random()`` and a right-side
+    search.  So the row and the generator state after it are the same.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def kmeanspp_init(
@@ -276,6 +316,13 @@ def cluster(frames: FrameBlock | Sequence[FrameFeature], config: ClusterConfig) 
 
     drops to ``config.epsilon`` or below (checked after each update), or
     after ``config.max_iters`` iterations.
+
+    An iteration whose assignments repeat the previous iteration's and leave
+    no cluster empty would recompute the same means from the same members,
+    so it ends the loop with ``delta = 0.0`` and skips the update.  An update
+    groups members with one stable argsort and sums each cluster's rows in
+    frame order, the same sums and divisions ``.mean()`` performs, so every
+    centroid is bitwise the mean of its members.
     """
     block = FrameBlock.of(frames)
     n, p, d = block.features.shape
@@ -290,23 +337,31 @@ def cluster(frames: FrameBlock | Sequence[FrameFeature], config: ClusterConfig) 
     centroids = x[idx].copy()
     taus = t[idx].copy()
 
-    assignments = np.zeros(n, dtype=np.intp)
+    assignments = None
     delta = math.inf
     iterations = 0
     while iterations < config.max_iters:
+        previous = assignments
         assignments = _assign(x, x_sq, t, centroids, taus, config.alpha_time)
+        counts = np.bincount(assignments, minlength=config.k)
+        iterations += 1
+        if counts.all() and previous is not None and np.array_equal(assignments, previous):
+            delta = 0.0  # the update would recompute the same means from the same members
+            break
 
         new_centroids = np.empty_like(centroids)
         new_taus = np.empty_like(taus)
-        for j in range(config.k):
-            members = assignments == j
-            if members.any():
-                new_centroids[j] = x[members].mean(axis=0)
-                new_taus[j] = t[members].mean()
+        order = np.argsort(assignments, kind="stable")  # members in frame order
+        ends = np.cumsum(counts).tolist()
+        for j, (lo, hi) in enumerate(zip([0] + ends, ends)):
+            if hi > lo:  # the sums and divisions .mean() performs, bitwise
+                members = order[lo:hi]
+                new_centroids[j] = np.add.reduce(x[members], axis=0) / (hi - lo)
+                new_taus[j] = np.add.reduce(t[members]) / (hi - lo)
             else:
                 r = int(rng.integers(n))
                 logger.debug("cluster %d empty at iteration %d; reseeding from frame %d",
-                             j, iterations + 1, r)
+                             j, iterations, r)
                 new_centroids[j] = x[r]
                 new_taus[j] = t[r]
 
@@ -315,7 +370,6 @@ def cluster(frames: FrameBlock | Sequence[FrameFeature], config: ClusterConfig) 
             + np.abs(new_taus - taus).sum()
         )
         centroids, taus = new_centroids, new_taus
-        iterations += 1
         if delta <= config.epsilon:
             break
 

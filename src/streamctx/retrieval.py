@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import logging
 import re
+from collections.abc import Collection, Iterable, Sequence, Set
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -78,8 +78,9 @@ class DialogueHistory:
         return tuple(self._items)
 
     @property
-    def ids(self) -> frozenset[int]:
-        return frozenset(self._row_of)
+    def ids(self) -> Set[int]:
+        """The turns' ids: a live, read-only set view, so reading it is O(1)."""
+        return self._row_of.keys()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -163,7 +164,7 @@ def render_constrained(output: RetrievalOutput) -> str:
     return f"delta={output.delta};selected={ids}"
 
 
-def parse_constrained(text: str, valid_ids: Iterable[int] | None = None) -> RetrievalOutput:
+def parse_constrained(text: str, valid_ids: Collection[int] | None = None) -> RetrievalOutput:
     """Parse a provider reply against the constrained grammar.
 
     ASCII whitespace around tokens is tolerated, ids are ASCII digits,
@@ -181,8 +182,7 @@ def parse_constrained(text: str, valid_ids: Iterable[int] | None = None) -> Retr
     id_part = m.group(2).strip()
     ids = frozenset(int(tok) for tok in id_part.split(",")) if id_part else frozenset()
     if valid_ids is not None:
-        allowed = frozenset(int(i) for i in valid_ids)
-        stray = ids - allowed
+        stray = [i for i in ids if i not in valid_ids]
         if stray:
             raise RetrievalParseError(
                 f"reply selects ids outside the history: {sorted(stray)}", raw_reply=text
@@ -318,7 +318,7 @@ def score_retrieval(
     """
     pred = frozenset(predicted.selected_ids if isinstance(predicted, RetrievalOutput) else predicted)
     gold_set = frozenset(gold)
-    ids = frozenset(history_ids)
+    ids = history_ids if isinstance(history_ids, Set) else frozenset(history_ids)
     if not pred <= ids:
         raise ValueError(f"predicted ids outside the history: {sorted(pred - ids)}")
     if not gold_set <= ids:

@@ -313,6 +313,20 @@ class TestSeeding:
         with pytest.raises(InvalidConfigError):
             kmeanspp_init(frames, 4, np.random.default_rng(0))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.0, 1e-300, 1e-9, 0.5, 1.0, 3.0, 1e6]), min_size=1,
+                 max_size=40).filter(any),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_draw_is_generator_choice(self, weights, seed):
+        d2 = np.asarray(weights)
+        p = d2 / d2.sum()
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert clustering._draw(p, got_rng) == int(want_rng.choice(p.size, p=p))
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
 
 def _partition(assignments):
     """Label-free view of an assignment vector."""
@@ -448,6 +462,119 @@ class TestCluster:
         assert "feature_centroids" not in d
         assert d["assignments"] == res.assignments.tolist()
         assert d["iterations"] == res.iterations
+
+
+def _lloyd_reference(x, t, config):
+    """The Lloyd loop before its fast paths, as ``cluster``'s bitwise reference.
+
+    Every iteration assigns with the exact kernel and then updates every
+    centroid with ``x[mask].mean``, even when nothing moved; an empty cluster
+    reseeds from the run's generator.
+    """
+    n = x.shape[0]
+    rng = np.random.default_rng(config.seed)
+    idx = clustering._kmeanspp_indices(x, config.k, rng)
+    centroids, taus = x[idx].copy(), t[idx].copy()
+    for iteration in range(1, config.max_iters + 1):
+        assignments = _composite_matrix(x, t, centroids, taus, config.alpha_time).argmin(axis=1)
+        new_centroids = np.empty_like(centroids)
+        new_taus = np.empty_like(taus)
+        for j in range(config.k):
+            members = assignments == j
+            if members.any():
+                new_centroids[j] = x[members].mean(axis=0)
+                new_taus[j] = t[members].mean()
+            else:
+                r = int(rng.integers(n))
+                new_centroids[j] = x[r]
+                new_taus[j] = t[r]
+        delta = float(
+            np.linalg.norm(new_centroids - centroids, axis=1).sum()
+            + np.abs(new_taus - taus).sum()
+        )
+        centroids, taus = new_centroids, new_taus
+        if delta <= config.epsilon:
+            break
+    return assignments, centroids, taus, iteration, delta
+
+
+@st.composite
+def _lloyd_case(draw):
+    """Float32 frames, often duplicate-heavy, with k anywhere up to n.
+
+    Entries can span twelve decades, so that float64 sums of them round and
+    the order of a centroid's summands shows in its bits.
+    """
+    n = draw(st.integers(1, 30))
+    pd = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, pd))
+    if draw(st.booleans()):
+        x *= 10.0 ** rng.uniform(-6, 6, size=(n, pd))
+    x += draw(st.sampled_from([0.0, 1e3]))
+    shape = draw(st.sampled_from(["random", "copied", "all-equal"]))
+    if shape == "copied":  # a few distinct frames, each repeated
+        x = x[rng.integers(0, draw(st.integers(1, n)), size=n)]
+    elif shape == "all-equal":
+        x[:] = x[0]
+    times = draw(st.sampled_from(["spread", "repeated", "equal"]))
+    if times == "spread":
+        t = np.cumsum(rng.uniform(0.1, 2.0, size=n))
+    elif times == "repeated":
+        t = np.sort(rng.integers(0, 4, size=n)).astype(np.float64)
+    else:
+        t = np.full(n, 5.0)
+    config = ClusterConfig(
+        k=draw(st.integers(1, n)),
+        alpha_time=draw(st.sampled_from([0.0, 1.0])),
+        max_iters=draw(st.sampled_from([1, 2, 3, DEFAULT_MAX_ITERS])),
+        epsilon=draw(st.sampled_from([0.0, DEFAULT_EPSILON])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return x.astype(np.float32).reshape(n, 1, pd), t, config
+
+
+class TestLloydFastPaths:
+    @staticmethod
+    def assert_matches_reference(features, t, config):
+        got = cluster(FrameBlock(t, features), config)
+        n = features.shape[0]
+        assignments, centroids, taus, iterations, delta = _lloyd_reference(
+            features.reshape(n, -1).astype(np.float64), t, config
+        )
+        assert np.array_equal(got.assignments, assignments)
+        assert got.feature_centroids.reshape(centroids.shape).tobytes() == centroids.tobytes()
+        assert got.time_centroids.tobytes() == taus.tobytes()
+        assert got.iterations == iterations
+        assert got.final_delta == delta
+        return got
+
+    @settings(max_examples=200, deadline=None)
+    @given(_lloyd_case())
+    def test_cluster_is_bitwise_the_plain_lloyd_loop(self, case):
+        self.assert_matches_reference(*case)
+
+    def test_empty_cluster_reseeds_from_the_generator(self, caplog):
+        # identical frames at one instant: every frame ties and goes to cluster
+        # 0, so clusters 1 and 2 are reseeded, and nothing moves after that
+        features = np.ones((6, 1, 2), dtype=np.float32)
+        config = ClusterConfig(k=3, seed=4, max_iters=5)
+        with caplog.at_level("DEBUG", logger="streamctx.clustering"):
+            got = self.assert_matches_reference(features, np.full(6, 2.0), config)
+        assert got.iterations == 1 and got.final_delta == 0.0
+        assert sum("reseeding" in r.getMessage() for r in caplog.records) == 2
+
+    def test_repeated_assignments_end_the_loop_without_an_update(self):
+        frames = make_frames(60, patches=2, dim=4, seed=8)
+        config = ClusterConfig(k=4, seed=1)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as updates:  # one per update
+            got = cluster(frames, config)
+        assert got.final_delta == 0.0
+        assert updates.call_count == got.iterations - 1
+        x = np.stack([f.flat() for f in frames]).astype(np.float64)
+        for j in range(config.k):
+            members = x[got.assignments == j]
+            assert got.feature_centroids[j].reshape(-1).tobytes() == members.mean(axis=0).tobytes()
 
 
 class TestEvents:

@@ -1,4 +1,5 @@
 import math
+from collections.abc import Set
 
 import pytest
 from hypothesis import given
@@ -37,9 +38,10 @@ def make_history(*triples):
 class TestHistory:
     def test_ids_and_append(self):
         h = make_history(("q1", "a1", 10), ("q2", "a2", 20))
-        assert h.ids == {1, 2} and isinstance(h.ids, frozenset)
+        ids = h.ids
+        assert ids == {1, 2} and isinstance(ids, Set) and not hasattr(ids, "add")
         h.append(HistoryItem(3, "q3", "a3", 30.0))
-        assert len(h) == 3 and h.ids == {1, 2, 3}
+        assert len(h) == 3 and h.ids == {1, 2, 3} and ids == {1, 2, 3}  # a live view
         assert isinstance(h.items, tuple) and [i.qa_id for i in h] == [1, 2, 3]
 
     def test_duplicate_ids_rejected(self):
