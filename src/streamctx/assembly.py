@@ -7,15 +7,15 @@ it).  When retrieval raised the text-only flag (delta=1) the visual stream is
 dropped entirely — the question is about the conversation, not the video.
 
 A unit never changes once built, so its JSON block and its escaped layout
-line are encoded once, on first use, and kept while the unit lives; a
-rendering joins them.  A history turn is thus encoded once however many
-questions select it, and a visual unit once per prefix and mode.
+line are encoded once, on first use, and kept on the unit itself; a
+rendering joins them.  A history turn is thus encoded once per stream, its
+fragment living with the turn in the stream's ``DialogueHistory``, and a
+visual unit once for as long as its event survives from prefix to prefix.
 """
 
 from __future__ import annotations
 
 import json
-import weakref
 from dataclasses import InitVar, dataclass, field
 from typing import Mapping, NamedTuple, Sequence, Union
 
@@ -49,14 +49,13 @@ class _Fragment(NamedTuple):
     tokens: int
 
 
-#: Each unit's fragment, built on first use and dropped with the unit.
-_FRAGMENTS: "weakref.WeakKeyDictionary[ContextUnit, _Fragment]" = weakref.WeakKeyDictionary()
-
-
 def _fragment(unit: ContextUnit) -> _Fragment:
-    fragment = _FRAGMENTS.get(unit)
+    """The unit's fragment, encoded on first use and kept in the unit's
+    ``__dict__`` as a ``cached_property`` keeps its value."""
+    held = vars(unit)
+    fragment = held.get("_fragment")
     if fragment is None:
-        fragment = _FRAGMENTS[unit] = _encode_unit(unit)
+        fragment = held["_fragment"] = _encode_unit(unit)
     return fragment
 
 

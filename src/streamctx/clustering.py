@@ -282,6 +282,29 @@ def _draw(p: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
+class FlatBlock(FrameBlock):
+    """A frame block with its float64 flat ``rows`` and their squared norms
+    ``row_sq``, as ``flat_rows`` takes them.  ``simulate`` fills both once
+    per segment for its whole stream and hands ``cluster`` a view of each
+    prefix; slicing gives a plain block."""
+
+    __slots__ = ("rows", "row_sq")
+
+    def __init__(self, block: FrameBlock, rows: np.ndarray, row_sq: np.ndarray):
+        self._hold(timestamps=block.timestamps, features=block.features, rows=rows, row_sq=row_sq)
+
+
+def flat_rows(frames: FrameBlock | Sequence[FrameFeature]) -> tuple[np.ndarray, np.ndarray]:
+    """The frames as (N, P·D) float64 rows and their squared norms: those a
+    ``FlatBlock`` holds, else converted here.  A row's norm depends on that
+    row alone, so rows taken a segment at a time equal a whole prefix's."""
+    block = FrameBlock.of(frames)
+    if isinstance(block, FlatBlock):
+        return block.rows, block.row_sq
+    x = block.features.reshape(len(block), block.num_patches * block.dim).astype(np.float64)
+    return x, np.einsum("ij,ij->i", x, x)
+
+
 def kmeanspp_init(
     frames: FrameBlock | Sequence[FrameFeature], k: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -297,8 +320,8 @@ def kmeanspp_init(
     n, p, d = block.features.shape
     if not 1 <= k <= n:
         raise InvalidConfigError(f"k must be in [1, {n}], got {k}")
-    x = block.features.reshape(n, p * d).astype(np.float64)
-    idx = _kmeanspp_indices(x, k, rng)
+    x, x_sq = flat_rows(block)
+    idx = _kmeanspp_indices(x, k, rng, x_sq=x_sq)
     return x[idx].reshape(k, p, d), block.timestamps[idx], idx
 
 
@@ -322,16 +345,16 @@ def cluster(frames: FrameBlock | Sequence[FrameFeature], config: ClusterConfig) 
     so it ends the loop with ``delta = 0.0`` and skips the update.  An update
     groups members with one stable argsort and sums each cluster's rows in
     frame order, the same sums and divisions ``.mean()`` performs, so every
-    centroid is bitwise the mean of its members.
+    centroid is bitwise the mean of its members.  Frames never move, so
+    their rows and norms come from ``flat_rows`` (a ``FlatBlock``'s, or new).
     """
     block = FrameBlock.of(frames)
     n, p, d = block.features.shape
     if config.k > n:
         raise InvalidConfigError(f"k={config.k} exceeds the number of frames ({n})")
 
-    x = block.features.reshape(n, p * d).astype(np.float64)
+    x, x_sq = flat_rows(block)
     t = block.timestamps
-    x_sq = np.einsum("ij,ij->i", x, x)  # frames never move, so once per call
     rng = np.random.default_rng(config.seed)
     idx = _kmeanspp_indices(x, config.k, rng, x_sq=x_sq)
     centroids = x[idx].copy()

@@ -7,10 +7,12 @@ full patch tokens ("preserved"), the rest one mean-pooled token per frame
 ("pooled").  No event disappears; units carry these counts, not token
 arrays.
 
-Only the score depends on the question.  So the embeddings are stacked, and
-each event's preserved and pooled unit built, once per visible prefix; a
-question then costs one matrix-vector product and a pick per event, and
-every question on a prefix gets the same unit objects.
+Only the score depends on the question.  So a ``PrefixTable`` stacks the
+embeddings once per visible prefix; a question then costs one GEMV and a
+pick per event, and every question on a prefix gets the same unit objects.
+An event's units depend only on its members and rank, so one that survives
+into the next prefix keeps them (``simulate`` carries them for its
+stream); only new or changed events get new units.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
-from typing import NamedTuple, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -161,55 +163,49 @@ def event_relevance(embeddings: Sequence[EventEmbedding], question_vec) -> list[
     return scores
 
 
-class _PrefixTable(NamedTuple):
-    """What compression needs of one prefix, whatever the question.
+class PrefixTable(tuple):
+    """One prefix's events, and what compression needs of them whatever the question.
 
-    Rows are in output order (event time centroid, then id): each event's
-    embedding, their stack and norms, its pooled unit and, once a question
-    first keeps it, its preserved unit.  ``width`` is the embeddings' common
-    dimension, None when they disagree or are none.
+    The table is the tuple of its events, so it can stand for them.  Rows
+    are in output order (event time centroid, then id): each event's
+    embedding (``ordered``), their ``stack`` and ``norms``, and its unit
+    pair, ``[pooled, preserved or None]``, with the preserved unit built
+    when a question first keeps the event.  ``width`` is the embeddings'
+    common dimension, None when they disagree or are none.  ``units`` maps
+    (member indices, rank), which fix every field of both units, to a pair:
+    an event found there keeps its pair, a new one adds its own.
     """
 
-    width: int | None
-    ordered: tuple[EventEmbedding, ...]
-    stack: np.ndarray
-    norms: np.ndarray
-    pooled: tuple[VisualUnit, ...]
-    preserved: list[VisualUnit | None]
-
-
-@lru_cache(maxsize=1)
-def _prefix_table(
-    events: tuple[Event, ...], embeddings: tuple[EventEmbedding, ...]
-) -> _PrefixTable:
-    """The table of one prefix.  Events and embeddings hash by identity, so
-    every question on a prefix hits this cache, and it holds one prefix."""
-    if len(events) != len(embeddings):
-        raise DimensionMismatchError(
-            f"got {len(events)} events but {len(embeddings)} embeddings"
-        )
-    order = sorted(range(len(events)), key=lambda i: (events[i].time_centroid, events[i].event_id))
-    ordered = tuple(embeddings[i] for i in order)
-    widths = {emb.vector.shape[0] for emb in embeddings}
-    width = widths.pop() if len(widths) == 1 else None
-    return _PrefixTable(
-        width=width,
-        ordered=ordered,
-        stack=np.stack([emb.vector for emb in ordered]) if width is not None else np.empty((0, 0)),
-        norms=np.array([emb.norm for emb in ordered]),
-        pooled=tuple(
-            VisualUnit(
-                kind=POOLED,
-                event_id=events[i].event_id,
-                num_frames=events[i].num_frames,
-                patch_count=events[i].prefix.num_patches,
-                start_s=events[i].start_s,
-                time_centroid=events[i].time_centroid,
+    def __new__(cls, events: Sequence[Event], embeddings: Sequence[EventEmbedding],
+                units: dict | None = None):
+        table = super().__new__(cls, events)
+        table.embeddings = tuple(embeddings)
+        if len(table) != len(table.embeddings):
+            raise DimensionMismatchError(
+                f"got {len(table)} events but {len(table.embeddings)} embeddings"
             )
-            for i in order
-        ),
-        preserved=[None] * len(order),
-    )
+        units = {} if units is None else units
+        order = sorted(range(len(table)), key=lambda i: (table[i].time_centroid, table[i].event_id))
+        table.ordered = tuple(table.embeddings[i] for i in order)
+        widths = {emb.vector.shape[0] for emb in table.embeddings}
+        table.width = widths.pop() if len(widths) == 1 else None
+        table.stack = (np.stack([emb.vector for emb in table.ordered])
+                       if table.width is not None else np.empty((0, 0)))
+        table.norms = np.array([emb.norm for emb in table.ordered])
+        table.pairs = tuple(_unit_pair(table[i], units) for i in order)
+        table.pooled = tuple(pair[0] for pair in table.pairs)
+        return table
+
+
+def _unit_pair(event: Event, units: dict) -> list:
+    key = (event.frame_indices, event.event_id)
+    pair = units.get(key)
+    if pair is None:
+        pooled = VisualUnit(kind=POOLED, event_id=event.event_id, num_frames=event.num_frames,
+                            patch_count=event.prefix.num_patches, start_s=event.start_s,
+                            time_centroid=event.time_centroid)
+        pair = units[key] = [pooled, None]
+    return pair
 
 
 def compress_stream(
@@ -223,7 +219,9 @@ def compress_stream(
     An event is preserved when ``event_relevance`` of its embedding is at
     least ``theta``.  Output units are ordered by event time centroid; an
     embedding whose width is not the question's is a
-    ``DimensionMismatchError`` on every question.
+    ``DimensionMismatchError`` on every question.  ``events`` may be the
+    ``PrefixTable`` of ``embeddings``, as ``simulate`` passes for each of
+    its prefixes, so every question on a prefix shares one table.
 
     The decision reads one GEMV, ``c = clip((E @ q) / (‖e‖ · ‖q‖))``, and
     recomputes with ``event_relevance`` every row the rounding could put on
@@ -241,10 +239,12 @@ def compress_stream(
     score on the same side; every other row, and every row with D = 0
     (NaN or infinite score, infinite ``tol``), is recomputed exactly.
     """
-    table = _prefix_table(tuple(events), tuple(embeddings))
+    table = events if isinstance(events, PrefixTable) else PrefixTable(events, embeddings)
+    if table.embeddings != tuple(embeddings):
+        raise ValueError("a PrefixTable is compressed against its own embeddings")
     q = np.asarray(question_vec, dtype=np.float64).reshape(-1)
     if q.shape != (table.width,):
-        for event, emb in zip(events, embeddings):
+        for event, emb in zip(table, table.embeddings):
             if emb.vector.shape != q.shape:
                 raise DimensionMismatchError(
                     f"event {event.event_id} embedding from {emb.provenance} has dim "
@@ -265,9 +265,10 @@ def compress_stream(
         keep[rows] = np.asarray(exact) >= config.theta
     units = list(table.pooled)
     for i in keep.nonzero()[0].tolist():
-        if table.preserved[i] is None:
-            table.preserved[i] = replace(table.pooled[i], kind=PRESERVED)
-        units[i] = table.preserved[i]
+        pair = table.pairs[i]
+        if pair[1] is None:
+            pair[1] = replace(pair[0], kind=PRESERVED)
+        units[i] = pair[1]
     return units
 
 

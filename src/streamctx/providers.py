@@ -61,7 +61,9 @@ class Summarizer(Protocol):
 class TextEmbedder(Protocol):
     provider_id: str
 
-    def embed(self, text: str) -> np.ndarray: ...
+    def embed(self, text: str) -> np.ndarray:
+        """A 1-D vector that must be a pure function of the text: ``simulate``
+        embeds each distinct question once per stream."""
 
 
 @runtime_checkable

@@ -88,6 +88,9 @@ class DialogueHistory:
     def __iter__(self):
         return iter(self._items)
 
+    def __getitem__(self, row: int) -> HistoryItem:
+        return self._items[row]
+
     def append(self, item: HistoryItem) -> None:
         """Add ``item`` as the latest turn; a refused turn changes nothing."""
         if item.qa_id in self._row_of:
@@ -216,14 +219,11 @@ def lexical_fallback(
     near-verbatim repetition alone is not treated as dialogue recall.
     """
     overlaps = history.overlaps(question)
-    items = history.items
-    selected = frozenset(items[i].qa_id for i in np.flatnonzero(overlaps >= threshold))
-    normalized = " ".join(tokenize(question))
-    delta = int(
-        len(history) > 0
-        and overlaps.max() > DELTA_OVERLAP
-        and any(cue in normalized for cue in RECALL_CUES)
-    )
+    selected = frozenset(history[i].qa_id for i in np.flatnonzero(overlaps >= threshold).tolist())
+    delta = 0
+    if len(history) and overlaps.max() > DELTA_OVERLAP:  # only then are the cues read
+        normalized = " ".join(tokenize(question))
+        delta = int(any(cue in normalized for cue in RECALL_CUES))
     return RetrievalOutput(selected_ids=selected, delta=delta)
 
 

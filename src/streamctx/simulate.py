@@ -11,9 +11,13 @@ The visual pipeline (clustering, events, event embeddings) depends only on
 the visible prefix, the number of finished segments, so it runs once per
 prefix and every later question on that prefix reuses it.  The clustering
 seed is keyed on the prefix too: two questions asked over the same frames
-see the same events.  An event summary depends only on the event's member
-frames, so each set of members is summarized once per stream.  A question
-that fails leaves nothing behind for the next one to reuse.
+see the same events.  Prefix s + 1 is prefix s plus one segment, so one
+state object per call carries forward what the last prefix built: each
+segment's float64 frame rows and norms, taken once when it finishes; each
+event summary by its member frames; each event's pooled and preserved
+units, and so their encoded fragments, by its members and rank; and each
+question vector by its text.  A question that fails leaves nothing behind
+for the next one to reuse, and nothing outlives the call.
 
 Reports are JSON lines: one ``record`` object per question followed by one
 ``summary`` object.  Per-record wall-clock timings are diagnostics and are
@@ -41,16 +45,18 @@ from .clustering import (
     DEFAULT_RATIO,
     ClusterConfig,
     ClusterResult,
-    Event,
+    FlatBlock,
     choose_k,
     cluster,
     events_from,
+    flat_rows,
 )
 from .compression import (
     DEFAULT_THETA,
     PRESERVED,
     CompressionConfig,
     EventEmbedding,
+    PrefixTable,
     compress_stream,
     compression_ratio,
     embed_event,
@@ -164,9 +170,14 @@ class ProviderSet:
     generator: Generator | None = None
 
 
-class _FrameGuard:
-    """Hands out the finished segments, joined once into one block, and counts
-    any future-frame access."""
+class _Stream:
+    """What one replay carries from each prefix to the next (module docstring).
+
+    It hands out the finished segments, joined once into one block, as a
+    ``FlatBlock`` over rows taken once per segment, and counts any
+    future-frame access.  ``last`` is the latest completed prefix: its
+    count, clustering and ``PrefixTable``.
+    """
 
     def __init__(self, manifest: SessionManifest, frames: Mapping[int, FrameBlock]):
         listed = [seg.segment_id for seg in manifest.segments]
@@ -178,12 +189,19 @@ class _FrameGuard:
             )
         blocks = [FrameBlock.of(frames[segment_id]) for segment_id in listed]
         self._block = FrameBlock.of(blocks)
-        self.dim = self._block.dim
+        n, patches, self.dim = self._block.features.shape
+        self._rows, self._row_sq = np.empty((n, patches * self.dim)), np.empty(n)
+        # the latest prefix handed out; the rows of its segments are taken
+        self._shown = (0, FlatBlock(self._block[:0], self._rows[:0], self._row_sq[:0]))
         self._ends = [seg.end_s for seg in manifest.segments]
-        self._stops = np.cumsum([0] + [len(b) for b in blocks])
+        self._stops = np.cumsum([0] + [len(b) for b in blocks]).tolist()
         self.violations = 0
+        self.last: tuple[int, ClusterResult, PrefixTable] | None = None
+        self.summaries: dict[tuple[int, ...], EventEmbedding] = {}
+        self.units: dict[tuple[tuple[int, ...], int], list] = {}
+        self.vectors: dict[str, np.ndarray] = {}
 
-    def frames_until(self, ask_time: float) -> tuple[int, FrameBlock]:
+    def frames_until(self, ask_time: float) -> tuple[int, FlatBlock]:
         """How many segments finished by ask_time, and all of their frames.
 
         Segments still open stay out entirely, even for their elapsed part;
@@ -192,7 +210,14 @@ class _FrameGuard:
         prefix and their count names it.
         """
         finished = bisect.bisect_right(self._ends, ask_time)
-        visible = self._block[: self._stops[finished]]
+        shown, visible = self._shown
+        if finished != shown:
+            for segment in range(shown, finished):
+                lo, hi = self._stops[segment], self._stops[segment + 1]
+                self._rows[lo:hi], self._row_sq[lo:hi] = flat_rows(self._block[lo:hi])
+            stop = self._stops[finished]
+            visible = FlatBlock(self._block[:stop], self._rows[:stop], self._row_sq[:stop])
+            self._shown = (finished, visible)
         self.violations += int(np.count_nonzero(visible.timestamps > ask_time))
         return finished, visible
 
@@ -269,10 +294,10 @@ def simulate(
     question (recorded with its error kind) and the stream moves on; the
     dialogue history then carries the dataset's gold answer so later
     questions still see the turn.  Any other exception is a bug
-    and propagates.  The clustering, events and event embeddings of the
-    latest visible prefix are kept for the next question, every event
-    summary is kept by its member frames for the rest of the stream, and
-    only a question that completes stores either.
+    and propagates.  The clustering and event table of the latest visible
+    prefix are kept for the next question; event summaries, unit pairs and
+    question vectors are kept for the rest of the stream (see the module
+    docstring), and only a question that completes stores any of them.
     """
     if not 0 <= stream_index < len(manifest.dialogue_streams):
         raise InvalidConfigError(
@@ -283,19 +308,11 @@ def simulate(
     select = retrieval_policy(config, prov.retriever)
     compression = config.compression_config()
 
-    guard = _FrameGuard(manifest, frames)
+    stream = _Stream(manifest, frames)
     qa_by_id = {qa.qa_id: qa for qa in manifest.qa_pool}
     history = DialogueHistory()
     path = manifest.dialogue_streams[stream_index]
-    question_embedder = prov.embedder or HashingQuestionEmbedder(guard.dim)
-    # Ask times never decrease along a path (DialoguePath checks it), so once
-    # a later prefix is visible no question returns to an earlier one: the
-    # last completed prefix is the only one worth keeping.
-    last: tuple[int, ClusterResult, list[Event], list[EventEmbedding]] | None = None
-    # An event that survives unchanged into a later prefix keeps its member
-    # frames, and a summary depends on those frames alone, so each member
-    # set is summarized once per stream.
-    summaries: dict[tuple[int, ...], EventEmbedding] = {}
+    question_embedder = prov.embedder or HashingQuestionEmbedder(stream.dim)
 
     records: list[dict] = []
     for entry in path.entries:
@@ -310,45 +327,50 @@ def simulate(
         }
         generated_answer: str | None = None
         try:
-            finished, visible = guard.frames_until(entry.ask_time)
+            finished, visible = stream.frames_until(entry.ask_time)
             if not len(visible):
                 raise StreamContextError(
                     f"no finished segment before ask_time {entry.ask_time}"
                 )
             k = choose_k(len(visible), config.cluster_ratio)
-            if last is not None and last[0] == finished:
-                _, result, events, embeddings = last
-                known = summaries
+            # Ask times never decrease along a path (DialoguePath checks it),
+            # so once a later prefix is visible no question returns to an
+            # earlier one: the last completed prefix is the only one kept.
+            if stream.last is not None and stream.last[0] == finished:
+                _, result, table = stream.last
+                summaries, units = stream.summaries, stream.units
             else:
-                known = dict(summaries)
+                summaries, units = dict(stream.summaries), dict(stream.units)
                 seed = _question_seed(config.seed, finished)
                 result = cluster(visible, config.cluster_config(k, seed))
                 events = events_from(result, visible)
                 for ev in events:
-                    if ev.frame_indices not in known:
-                        known[ev.frame_indices] = embed_event(ev, prov.summarizer)
-                embeddings = [known[ev.frame_indices] for ev in events]
-            qvec = embed_question(qa.question, question_embedder)
-            units = compress_stream(events, embeddings, qvec, compression)
+                    if ev.frame_indices not in summaries:
+                        summaries[ev.frame_indices] = embed_event(ev, prov.summarizer)
+                table = PrefixTable(events, [summaries[ev.frame_indices] for ev in events], units)
+            qvec = stream.vectors.get(qa.question)
+            if qvec is None:
+                qvec = embed_question(qa.question, question_embedder)
+            visual = compress_stream(table, table.embeddings, qvec, compression)
             retrieval = select(history, qa.question, entry.gold_relevant)
             confusion = score_retrieval(retrieval, entry.gold_relevant, history.ids)
             selected_items = history.turns(retrieval.selected_ids)
 
-            package = assemble(units, selected_items, retrieval.delta, qa.question)
+            package = assemble(visual, selected_items, retrieval.delta, qa.question)
             answer_record = generate_answer(package, prov.generator, qa_id=qa.qa_id)
             generated_answer = answer_record.answer
 
-            preserved = sum(unit.kind == PRESERVED for unit in units)
+            preserved = sum(unit.kind == PRESERVED for unit in visual)
             record.update(
                 {
                     "num_frames": len(visible),
                     "k": k,
                     "cluster_iterations": result.iterations,
                     "cluster_delta": result.final_delta,
-                    "num_events": len(events),
+                    "num_events": len(table),
                     "preserved_events": preserved,
-                    "pooled_events": len(units) - preserved,
-                    "compression_ratio": compression_ratio(units),
+                    "pooled_events": len(visual) - preserved,
+                    "compression_ratio": compression_ratio(visual),
                     "visual_tokens": answer_record.visual_tokens,
                     "text_tokens": answer_record.text_tokens,
                     "retrieval": {
@@ -360,7 +382,8 @@ def simulate(
                     "answer_provider": answer_record.provider_id,
                 }
             )
-            last, summaries = (finished, result, events, embeddings), known
+            stream.last, stream.summaries, stream.units = (finished, result, table), summaries, units
+            stream.vectors[qa.question] = qvec
         except StreamContextError as exc:
             logger.exception("question %d failed; continuing the stream", qa.qa_id)
             record["error"] = {"type": type(exc).__name__, "message": str(exc)}
@@ -376,7 +399,7 @@ def simulate(
         "video_id": manifest.video_id,
         "stream_index": stream_index,
         **summarize_records(records),
-        "leakage_violations": guard.violations,
+        "leakage_violations": stream.violations,
         "config": config.to_dict(),
     }
     return SimulationReport(records=tuple(records), summary=summary)

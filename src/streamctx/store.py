@@ -17,7 +17,6 @@ keys match the dataclass field names below.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import inspect
 import json
 import re
@@ -96,10 +95,10 @@ class FrameBlock:
             raise NonFiniteValueError("frame features contain NaN or infinite values")
         if not np.isfinite(stamps).all() or (stamps < 0).any():
             raise NonFiniteValueError("frame timestamps must be finite and >= 0")
-        self._hold(stamps, feats)
+        self._hold(timestamps=stamps, features=feats)
 
-    def _hold(self, stamps: np.ndarray, feats: np.ndarray) -> "FrameBlock":
-        for name, arr in (("timestamps", stamps), ("features", feats)):
+    def _hold(self, **columns: np.ndarray) -> "FrameBlock":
+        for name, arr in columns.items():
             view = arr.view()
             view.setflags(write=False)
             object.__setattr__(self, name, view)
@@ -108,7 +107,7 @@ class FrameBlock:
     @staticmethod
     def _trusted(stamps: np.ndarray, feats: np.ndarray) -> "FrameBlock":
         """A block over arrays taken from checked blocks, not checked again."""
-        return object.__new__(FrameBlock)._hold(stamps, feats)
+        return object.__new__(FrameBlock)._hold(timestamps=stamps, features=feats)
 
     @staticmethod
     def of(frames) -> "FrameBlock":
@@ -414,18 +413,21 @@ def json_typed(value, kind: type) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-@functools.cache
 def _typed_fields(cls) -> tuple[tuple, tuple]:
     """A record class's fields annotated int, float, str or bool as (name,
-    type), and its ``tuple[R, ...]`` fields as (name, R); built once per class."""
-    scalars, records = [], []
-    for name, hint in typing.get_type_hints(cls).items():
-        item = typing.get_args(hint)[0] if typing.get_origin(hint) is tuple else None
-        if hint in (int, float, str, bool):
-            scalars.append((name, hint))
-        elif dataclasses.is_dataclass(item):
-            records.append((name, item))
-    return tuple(scalars), tuple(records)
+    type), and its ``tuple[R, ...]`` fields as (name, R); built once per
+    class and kept on the class itself."""
+    typed = cls.__dict__.get("_json_fields")
+    if typed is None:
+        scalars, records = [], []
+        for name, hint in typing.get_type_hints(cls).items():
+            item = typing.get_args(hint)[0] if typing.get_origin(hint) is tuple else None
+            if hint in (int, float, str, bool):
+                scalars.append((name, hint))
+            elif dataclasses.is_dataclass(item):
+                records.append((name, item))
+        typed = cls._json_fields = (tuple(scalars), tuple(records))
+    return typed
 
 
 def check_fields(record, error: type[Exception]) -> None:

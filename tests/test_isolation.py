@@ -1,16 +1,15 @@
 """One replay's reports do not depend on what ran before it in the process.
 
-``simulate`` keeps module-level state across calls: ``compression``'s
-per-prefix table (``lru_cache``) and ``assembly``'s unit fragments
-(``WeakKeyDictionary``).  Replaying a session's streams in reverse order,
+Everything ``simulate`` carries from prefix to prefix lives in a state
+object owned by the call, and a unit's fragment lives on the unit, so no
+replay can see another's.  Replaying a session's streams in reverse order,
 with a stream of another session between each two, must give every stream
-the canonical bytes of a fresh in-order replay.
+the canonical bytes of an in-order replay.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamctx import assembly, compression
 from streamctx.simulate import ProviderSet, simulate
 from streamctx.synthetic import build_synthetic
 
@@ -23,9 +22,7 @@ def _replay(session, stream, config, salt):
     return report.canonical_bytes()
 
 
-def _fresh(session, config, salt):
-    compression._prefix_table.cache_clear()
-    assembly._FRAGMENTS.clear()
+def _in_order(session, config, salt):
     streams = range(len(session.manifest.dialogue_streams))
     return [_replay(session, i, config, salt) for i in streams]
 
@@ -36,8 +33,8 @@ def test_reverse_order_with_another_session_between_gives_the_same_bytes(
     spec, other_spec, config, salt
 ):
     session, other = build_synthetic(spec), build_synthetic(other_spec)
-    want = _fresh(session, config, salt)
-    want_other = _fresh(other, config, salt)[0]
+    want = _in_order(session, config, salt)
+    want_other = _in_order(other, config, salt)[0]
 
     got = {}
     for stream in reversed(range(len(want))):

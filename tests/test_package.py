@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -98,3 +99,33 @@ def test_simulate_keeps_what_the_benchmark_tracer_wraps(monkeypatch):
     ]
     qa_id = inspect.signature(module.generate_answer).parameters["qa_id"]
     assert qa_id.kind is inspect.Parameter.KEYWORD_ONLY
+
+
+def _module_containers() -> dict[str, str]:
+    """The repr of every mutable container a ``streamctx`` module or class holds."""
+    held = {}
+    for info in pkgutil.iter_modules(streamctx.__path__):
+        module = importlib.import_module(f"streamctx.{info.name}")
+        for name, value in vars(module).items():
+            scope = [(name, value)]
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                scope += [(f"{name}.{key}", attr) for key, attr in vars(value).items()]
+            for key, obj in scope:
+                if isinstance(obj, (dict, list, set, bytearray)) and "__" not in key:
+                    held[f"{module.__name__}.{key}"] = repr(obj)
+    return held
+
+
+def test_src_holds_no_module_level_cache(default_session):
+    """What a replay carries lives in objects the call owns, never in a module."""
+    src = Path(streamctx.__file__).resolve().parent
+    for path in src.glob("*.py"):
+        text = path.read_text()
+        for name in ("lru_cache", "functools.cache", "WeakKeyDictionary", "WeakValueDictionary"):
+            assert name not in text, f"{path.name} uses {name}"
+    before = _module_containers()
+    assert before  # the schemas and templates are there to compare
+    for mode in ("fallback", "oracle"):
+        config = streamctx.EngineConfig(retrieval_mode=mode)
+        streamctx.simulate(default_session.manifest, 0, config, frames=default_session.frames)
+    assert _module_containers() == before

@@ -715,7 +715,10 @@ class TestPrefixReuse:
         assert sorted(len(args[0]) for args, _, _ in calls["cluster"]) == sorted(groups)
         assert len(calls["events_from"]) == len(groups)
         assert len(calls["embed_event"]) == sum(g[0]["num_events"] for g in groups.values())
-        assert len(calls["embed_question"]) == len(report.records)
+        texts = {qa.qa_id: qa.question for qa in default_session.manifest.qa_pool}
+        asked = [texts[rec["qa_id"]] for rec in report.records]
+        assert len(set(asked)) < len(asked)  # some question is asked twice
+        assert sorted(args[0] for args, _, _ in calls["embed_question"]) == sorted(set(asked))
 
     def test_questions_on_one_prefix_see_the_same_events(self, default_session):
         class SameVector:
@@ -875,6 +878,48 @@ class TestPrefixReuse:
             fresh = HashingQuestionEmbedder(8).embed(args[0])
             assert np.array_equal(vec, fresh)
         assert report.summary["failed_questions"] == 0
+
+
+    def test_a_failed_question_keeps_no_question_vector(self, default_session):
+        class CountingEmbedder(HashingQuestionEmbedder):
+            def __init__(self):
+                super().__init__(8)
+                self.texts = Counter()
+
+            def embed(self, text):
+                self.texts[text] += 1
+                return super().embed(text)
+
+        class FailsOnSecond:
+            provider_id = "fails-on-second"
+
+            def __init__(self):
+                self.calls = 0
+
+            def generate(self, payload):
+                self.calls += 1
+                if self.calls == 2:
+                    raise ProviderError("generator down")
+                return EchoGenerator().generate(payload)
+
+        def run(generator):
+            embedder = CountingEmbedder()
+            report = simulate(default_session.manifest, 0, EngineConfig(),
+                              frames=default_session.frames,
+                              providers=ProviderSet(embedder=embedder, generator=generator))
+            return report, embedder.texts
+
+        texts = {qa.qa_id: qa.question for qa in default_session.manifest.qa_pool}
+        clean, counted = run(None)
+        asked = [texts[rec["qa_id"]] for rec in clean.records]
+        assert asked.count(asked[1]) == 2  # the second question is asked again later
+        assert counted == Counter(set(asked))
+
+        report, counted = run(FailsOnSecond())
+        assert [rec.get("error", {}).get("type") for rec in report.records[:3]] == [
+            None, "ProviderError", None,
+        ]
+        assert counted == Counter(set(asked)) + Counter([asked[1]])
 
 
 def test_replay_from_disk_builds_no_per_frame_objects(tmp_path, monkeypatch):
