@@ -16,7 +16,7 @@ visual unit once for as long as its event survives from prefix to prefix.
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from .compression import VisualUnit
@@ -92,23 +92,18 @@ def _sort_key(unit: ContextUnit) -> tuple[float, int, int]:
 
 @dataclass(frozen=True, eq=False)
 class ContextPackage:
-    """Everything the generator sees for one question, already ordered.
-
-    ``sort_keys`` takes the units' timeline keys from a caller that already
-    computed them, as ``assemble`` does; otherwise they are computed here.
-    """
+    """Everything the generator sees for one question, already ordered."""
 
     units: tuple[ContextUnit, ...]
     delta: int
     current_question: str
-    sort_keys: InitVar[Sequence[tuple] | None] = field(default=None, kw_only=True)
 
-    def __post_init__(self, sort_keys):
+    def __post_init__(self):
         if self.delta not in (0, 1):
             raise ValueError(f"delta must be 0 or 1, got {self.delta}")
         if self.delta == 1 and any(isinstance(u, VisualUnit) for u in self.units):
             raise ValueError("a delta=1 package must not contain visual units")
-        keys = [_sort_key(u) for u in self.units] if sort_keys is None else list(sort_keys)
+        keys = [_sort_key(u) for u in self.units]
         if keys != sorted(keys):
             raise ValueError("package units must be in timeline order")
 
@@ -135,10 +130,7 @@ def assemble(
     units: list[ContextUnit] = list(retrieved)
     if delta == 0:
         units.extend(visual)
-    keys = list(map(_sort_key, units))
-    order = sorted(range(len(units)), key=keys.__getitem__)
-    return ContextPackage(tuple([units[i] for i in order]), int(delta), question,
-                          sort_keys=[keys[i] for i in order])
+    return ContextPackage(tuple(sorted(units, key=_sort_key)), int(delta), question)
 
 
 def render_layout(package: ContextPackage) -> str:

@@ -357,8 +357,8 @@ def cluster(frames: FrameBlock | Sequence[FrameFeature], config: ClusterConfig) 
     t = block.timestamps
     rng = np.random.default_rng(config.seed)
     idx = _kmeanspp_indices(x, config.k, rng, x_sq=x_sq)
-    centroids = x[idx].copy()
-    taus = t[idx].copy()
+    centroids = x[idx]
+    taus = t[idx]
 
     assignments = None
     delta = math.inf

@@ -8,11 +8,12 @@ full patch tokens ("preserved"), the rest one mean-pooled token per frame
 arrays.
 
 Only the score depends on the question.  So a ``PrefixTable`` stacks the
-embeddings once per visible prefix; a question then costs one GEMV and a
-pick per event, and every question on a prefix gets the same unit objects.
-An event's units depend only on its members and rank, so one that survives
-into the next prefix keeps them (``simulate`` carries them for its
-stream); only new or changed events get new units.
+embeddings once per visible prefix and holds each event's pair of units,
+pooled and preserved, built once; a question then costs one GEMV and a
+pick from each pair.  An event's units depend only on its members and
+rank, so one that survives into the next prefix keeps its pair
+(``simulate`` carries the pairs for its stream); only new or changed
+events get new units.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import MutableMapping, Sequence
 
 import numpy as np
 
@@ -169,15 +170,14 @@ class PrefixTable(tuple):
     The table is the tuple of its events, so it can stand for them.  Rows
     are in output order (event time centroid, then id): each event's
     embedding (``ordered``), their ``stack`` and ``norms``, and its unit
-    pair, ``[pooled, preserved or None]``, with the preserved unit built
-    when a question first keeps the event.  ``width`` is the embeddings'
+    pair, the tuple ``(pooled, preserved)``.  ``width`` is the embeddings'
     common dimension, None when they disagree or are none.  ``units`` maps
     (member indices, rank), which fix every field of both units, to a pair:
     an event found there keeps its pair, a new one adds its own.
     """
 
     def __new__(cls, events: Sequence[Event], embeddings: Sequence[EventEmbedding],
-                units: dict | None = None):
+                units: MutableMapping | None = None):
         table = super().__new__(cls, events)
         table.embeddings = tuple(embeddings)
         if len(table) != len(table.embeddings):
@@ -193,19 +193,19 @@ class PrefixTable(tuple):
                        if table.width is not None else np.empty((0, 0)))
         table.norms = np.array([emb.norm for emb in table.ordered])
         table.pairs = tuple(_unit_pair(table[i], units) for i in order)
-        table.pooled = tuple(pair[0] for pair in table.pairs)
         return table
 
 
-def _unit_pair(event: Event, units: dict) -> list:
+def _unit_pair(event: Event, units: MutableMapping) -> tuple[VisualUnit, VisualUnit]:
     key = (event.frame_indices, event.event_id)
-    pair = units.get(key)
-    if pair is None:
+    try:  # a ChainMap answers a hit faster this way than through get
+        return units[key]
+    except KeyError:
         pooled = VisualUnit(kind=POOLED, event_id=event.event_id, num_frames=event.num_frames,
                             patch_count=event.prefix.num_patches, start_s=event.start_s,
                             time_centroid=event.time_centroid)
-        pair = units[key] = [pooled, None]
-    return pair
+        pair = units[key] = (pooled, replace(pooled, kind=PRESERVED))
+        return pair
 
 
 def compress_stream(
@@ -250,7 +250,7 @@ def compress_stream(
                     f"event {event.event_id} embedding from {emb.provenance} has dim "
                     f"{emb.vector.shape[0]} != question dim {q.shape[0]}"
                 )
-    if not table.pooled:
+    if not table:
         return []
 
     n = q.shape[0]
@@ -263,13 +263,7 @@ def compress_stream(
     if rows.size:
         exact = event_relevance([table.ordered[i] for i in rows], q)
         keep[rows] = np.asarray(exact) >= config.theta
-    units = list(table.pooled)
-    for i in keep.nonzero()[0].tolist():
-        pair = table.pairs[i]
-        if pair[1] is None:
-            pair[1] = replace(pair[0], kind=PRESERVED)
-        units[i] = pair[1]
-    return units
+    return [pair[kept] for pair, kept in zip(table.pairs, keep.tolist())]
 
 
 def token_count(units: Sequence[VisualUnit]) -> int:

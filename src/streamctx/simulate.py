@@ -13,11 +13,13 @@ prefix and every later question on that prefix reuses it.  The clustering
 seed is keyed on the prefix too: two questions asked over the same frames
 see the same events.  Prefix s + 1 is prefix s plus one segment, so one
 state object per call carries forward what the last prefix built: each
-segment's float64 frame rows and norms, taken once when it finishes; each
-event summary by its member frames; each event's pooled and preserved
-units, and so their encoded fragments, by its members and rank; and each
-question vector by its text.  A question that fails leaves nothing behind
-for the next one to reuse, and nothing outlives the call.
+segment's float64 frame rows and norms, taken once when it finishes, and
+one memo of what completed questions built: each event summary by its
+member frames, each event's pair of units (and so their encoded
+fragments) by its members and rank, and each question vector by its text.
+A question stages its additions over the memo and commits them, with its
+prefix, only once it completes; so a question that fails leaves nothing
+behind for the next one to reuse, and nothing outlives the call.
 
 Reports are JSON lines: one ``record`` object per question followed by one
 ``summary`` object.  Per-record wall-clock timings are diagnostics and are
@@ -31,6 +33,7 @@ import json
 import logging
 import math
 import time
+from collections import ChainMap
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -55,7 +58,6 @@ from .compression import (
     DEFAULT_THETA,
     PRESERVED,
     CompressionConfig,
-    EventEmbedding,
     PrefixTable,
     compress_stream,
     compression_ratio,
@@ -176,7 +178,8 @@ class _Stream:
     It hands out the finished segments, joined once into one block, as a
     ``FlatBlock`` over rows taken once per segment, and counts any
     future-frame access.  ``last`` is the latest completed prefix: its
-    count, clustering and ``PrefixTable``.
+    count, clustering and ``PrefixTable``.  ``known`` is the memo of what
+    completed questions built; ``simulate`` alone commits to it.
     """
 
     def __init__(self, manifest: SessionManifest, frames: Mapping[int, FrameBlock]):
@@ -197,9 +200,9 @@ class _Stream:
         self._stops = np.cumsum([0] + [len(b) for b in blocks]).tolist()
         self.violations = 0
         self.last: tuple[int, ClusterResult, PrefixTable] | None = None
-        self.summaries: dict[tuple[int, ...], EventEmbedding] = {}
-        self.units: dict[tuple[tuple[int, ...], int], list] = {}
-        self.vectors: dict[str, np.ndarray] = {}
+        # The memo's keys cannot collide: a summary's is its members (a tuple
+        # of ints), a unit pair's (members, rank), a question vector's its text.
+        self.known: dict = {}
 
     def frames_until(self, ask_time: float) -> tuple[int, FlatBlock]:
         """How many segments finished by ask_time, and all of their frames.
@@ -245,6 +248,15 @@ def retrieval_policy(
         return lambda history, question, gold: retrieve(history, question, retriever)
     threshold = config.retrieval_threshold
     return lambda history, question, gold: retrieve(history, question, None, threshold=threshold)
+
+
+def _recall(memo: ChainMap, key, build: Callable, *args):
+    """``memo[key]``, or else ``build(*args)``, staged in the memo under ``key``."""
+    try:  # one ChainMap lookup on a hit, where ``in`` and get take two
+        return memo[key]
+    except KeyError:
+        value = memo[key] = build(*args)
+        return value
 
 
 def _question_seed(base_seed: int, prefix: int) -> int:
@@ -297,7 +309,8 @@ def simulate(
     and propagates.  The clustering and event table of the latest visible
     prefix are kept for the next question; event summaries, unit pairs and
     question vectors are kept for the rest of the stream (see the module
-    docstring), and only a question that completes stores any of them.
+    docstring).  Each question stages what it builds, and only a question
+    that completes commits it.
     """
     if not 0 <= stream_index < len(manifest.dialogue_streams):
         raise InvalidConfigError(
@@ -326,6 +339,7 @@ def simulate(
             "gold_relevant": sorted(entry.gold_relevant),
         }
         generated_answer: str | None = None
+        memo = ChainMap({}, stream.known)
         try:
             finished, visible = stream.frames_until(entry.ask_time)
             if not len(visible):
@@ -338,19 +352,14 @@ def simulate(
             # earlier one: the last completed prefix is the only one kept.
             if stream.last is not None and stream.last[0] == finished:
                 _, result, table = stream.last
-                summaries, units = stream.summaries, stream.units
             else:
-                summaries, units = dict(stream.summaries), dict(stream.units)
                 seed = _question_seed(config.seed, finished)
                 result = cluster(visible, config.cluster_config(k, seed))
                 events = events_from(result, visible)
-                for ev in events:
-                    if ev.frame_indices not in summaries:
-                        summaries[ev.frame_indices] = embed_event(ev, prov.summarizer)
-                table = PrefixTable(events, [summaries[ev.frame_indices] for ev in events], units)
-            qvec = stream.vectors.get(qa.question)
-            if qvec is None:
-                qvec = embed_question(qa.question, question_embedder)
+                summaries = [_recall(memo, ev.frame_indices, embed_event, ev, prov.summarizer)
+                             for ev in events]
+                table = PrefixTable(events, summaries, memo)
+            qvec = _recall(memo, qa.question, embed_question, qa.question, question_embedder)
             visual = compress_stream(table, table.embeddings, qvec, compression)
             retrieval = select(history, qa.question, entry.gold_relevant)
             confusion = score_retrieval(retrieval, entry.gold_relevant, history.ids)
@@ -382,11 +391,13 @@ def simulate(
                     "answer_provider": answer_record.provider_id,
                 }
             )
-            stream.last, stream.summaries, stream.units = (finished, result, table), summaries, units
-            stream.vectors[qa.question] = qvec
+            stream.last = (finished, result, table)
+            stream.known.update(memo.maps[0])
         except StreamContextError as exc:
-            logger.exception("question %d failed; continuing the stream", qa.qa_id)
-            record["error"] = {"type": type(exc).__name__, "message": str(exc)}
+            error = record["error"] = {"type": type(exc).__name__, "message": str(exc)}
+            # strings only: a log record holding exc would keep the stream alive
+            logger.warning("question %d failed (%s: %s); continuing the stream",
+                           qa.qa_id, error["type"], error["message"])
         record["wall_ms"] = (time.perf_counter() - started) * 1000.0
         records.append(record)
 

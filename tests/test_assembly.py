@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamctx import assembly
 from streamctx.assembly import (
     DEFAULT_TEMPLATE,
     PAYLOAD_SCHEMA,
@@ -69,15 +68,6 @@ class TestAssemble:
         out_of_order = (text_item(1, 20.0), text_item(2, 10.0))
         with pytest.raises(ValueError):
             ContextPackage(units=out_of_order, delta=0, current_question="q")
-
-    def test_given_sort_keys_are_checked_like_computed_ones(self):
-        units = (text_item(1, 20.0), text_item(2, 10.0))
-        with pytest.raises(ValueError, match="timeline order"):
-            ContextPackage(units, 0, "q", sort_keys=[assembly._sort_key(u) for u in units])
-        pkg = assemble([visual_unit(2, 10.0)], list(units), 0, "q")
-        assert [assembly._sort_key(u) for u in pkg.units] == [
-            (10.0, 0, 2), (10.0, 1, 2), (20.0, 1, 1)
-        ]
 
 
 class TestRenderLayout:

@@ -4,12 +4,12 @@
 events, the visual units and question vectors from prefix to prefix, and a
 unit or turn keeps its encoded fragment in its own ``__dict__``.  All of it
 belongs to the call: once the caller drops the session and the report,
-weak references to every piece are dead.
+weak references to every piece are dead, even while a log handler keeps
+the record of a failed question.
 """
 
 import gc
 import importlib
-import logging
 import weakref
 
 from streamctx.errors import ProviderError
@@ -34,8 +34,6 @@ class FailsOnThird:
 
 
 def test_nothing_of_a_session_outlives_simulate(monkeypatch, caplog):
-    # a logged failure's record would hold the failed question's frames
-    caplog.set_level(logging.CRITICAL, logger="streamctx")
     module = importlib.import_module("streamctx.simulate")
     held: list[tuple[str, weakref.ref]] = []
     alive: set[str] = set()  # kinds seen alive at an answer
@@ -71,9 +69,15 @@ def test_nothing_of_a_session_outlives_simulate(monkeypatch, caplog):
     report = simulate(session.manifest, 0, EngineConfig(retrieval_mode="oracle", theta=0.0),
                       frames=session.frames, providers=ProviderSet(generator=FailsOnThird()))
     assert report.summary["failed_questions"] == 1
+    (failed,) = [rec for rec in report.records if "error" in rec]
+    failures = [rec for rec in caplog.records if rec.name == "streamctx.simulate"]
+    assert [rec.getMessage() for rec in failures] == [
+        f"question {failed['qa_id']} failed (ProviderError: generator down); continuing the stream"
+    ]
     assert alive == {"joined block", "rows", "row norms", "event", "question vector",
                      "visual unit", "VisualUnit", "HistoryItem"}
 
-    del session, report
+    del session, report, failed
     gc.collect()
+    assert caplog.records[-1] is failures[-1]  # the handler still holds the record
     assert [kind for kind, ref in held if ref() is not None] == []

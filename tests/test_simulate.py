@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamctx import clustering
-from streamctx.compression import embed_event
+from streamctx.compression import VisualUnit, embed_event
 from streamctx.errors import (
     DimensionMismatchError,
     InvalidConfigError,
@@ -773,6 +773,30 @@ class TestPrefixReuse:
         packaged = [unit for _, _, package in calls["assemble"] for unit in package.units]
         assert set(encoded.values()) == {1}
         assert set(encoded) == {id(unit) for unit in packaged}
+
+    def test_a_surviving_event_keeps_its_units_on_the_next_prefix(
+        self, surviving_events, calls, monkeypatch
+    ):
+        module = importlib.import_module("streamctx.assembly")
+        encoded, encode = [], module._encode_unit
+        monkeypatch.setattr(
+            module, "_encode_unit", lambda unit: encoded.append(unit) or encode(unit)
+        )
+        session = surviving_events
+        report = simulate(session.manifest, 0, EngineConfig(retrieval_mode="oracle", theta=0.0),
+                          frames=session.frames)
+        assert report.summary["failed_questions"] == 0
+
+        units, prefixes = {}, defaultdict(set)  # by (members, rank, kind)
+        for (table, _, _, _), _, out in calls["compress_stream"]:
+            members = {event.event_id: event.frame_indices for event in table}
+            for unit in out:
+                key = (members[unit.event_id], unit.event_id, unit.kind)
+                assert units.setdefault(key, unit) is unit
+                prefixes[key].add(len(table[0].prefix))
+        assert any(len(seen) > 1 for seen in prefixes.values())  # some unit outlives its prefix
+        visual = [unit for unit in encoded if isinstance(unit, VisualUnit)]
+        assert len(visual) == len({id(unit) for unit in visual}) == len(units)
 
     @pytest.mark.parametrize("role", ["summarizer", "generator"])
     def test_failed_question_caches_nothing(self, default_session, calls, role):
