@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -325,7 +325,8 @@ def kmeanspp_init(
     return x[idx].reshape(k, p, d), block.timestamps[idx], idx
 
 
-def cluster(frames: FrameBlock | Sequence[FrameFeature], config: ClusterConfig) -> ClusterResult:
+def cluster(frames: FrameBlock | Sequence[FrameFeature], config: ClusterConfig, *,
+            frozen: ClusterResult | None = None) -> ClusterResult:
     """Run time-weighted K-means over a chronological frame stream.
 
     Each iteration assigns every frame to the composite-distance argmin
@@ -347,9 +348,28 @@ def cluster(frames: FrameBlock | Sequence[FrameFeature], config: ClusterConfig) 
     frame order, the same sums and divisions ``.mean()`` performs, so every
     centroid is bitwise the mean of its members.  Frames never move, so
     their rows and norms come from ``flat_rows`` (a ``FlatBlock``'s, or new).
+
+    ``frozen``, a clustering of the first ``m = len(frozen.assignments)``
+    frames, keeps their clusters, listed first; the rest run bitwise as
+    ``cluster(frames[m:])`` with ``config.k - frozen.k`` clusters would, and
+    give ``iterations`` and ``final_delta``.  A ``frozen`` of other
+    (patches, dim), or of no fewer clusters, is an ``InvalidConfigError``.
     """
     block = FrameBlock.of(frames)
     n, p, d = block.features.shape
+    if frozen is not None:
+        shape = frozen.feature_centroids.shape[1:]
+        if shape != (p, d) or frozen.k >= config.k:
+            raise InvalidConfigError(f"frozen k={frozen.k} over (patches, dim) {shape} leaves "
+                                     f"no window for k={config.k} over {(p, d)}")
+        m, (x, x_sq) = frozen.assignments.shape[0], flat_rows(block)
+        run = cluster(FlatBlock(block[m:], x[m:], x_sq[m:]), replace(config, k=config.k - frozen.k))
+        return ClusterResult(
+            np.concatenate([frozen.feature_centroids, run.feature_centroids]),
+            np.concatenate([frozen.time_centroids, run.time_centroids]),
+            np.concatenate([frozen.assignments, run.assignments + frozen.k]),
+            run.iterations, run.final_delta,
+        )
     if config.k > n:
         raise InvalidConfigError(f"k={config.k} exceeds the number of frames ({n})")
 

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import ChainMap
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import MutableMapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -171,20 +172,21 @@ class PrefixTable(tuple):
     are in output order (event time centroid, then id): each event's
     embedding (``ordered``), their ``stack`` and ``norms``, and its unit
     pair, the tuple ``(pooled, preserved)``.  ``width`` is the embeddings'
-    common dimension, None when they disagree or are none.  ``units`` maps
-    (member indices, rank), which fix every field of both units, to a pair:
-    an event found there keeps its pair, a new one adds its own.
+    common dimension, None when they disagree or are none.  ``units``, a
+    memo as ``recall`` reads it, maps (member indices, rank), which fix
+    every field of both units, to a pair: an event found there keeps its
+    pair, a new one stages its own.
     """
 
     def __new__(cls, events: Sequence[Event], embeddings: Sequence[EventEmbedding],
-                units: MutableMapping | None = None):
+                units: ChainMap | None = None):
         table = super().__new__(cls, events)
         table.embeddings = tuple(embeddings)
         if len(table) != len(table.embeddings):
             raise DimensionMismatchError(
                 f"got {len(table)} events but {len(table.embeddings)} embeddings"
             )
-        units = {} if units is None else units
+        units = ChainMap() if units is None else units
         order = sorted(range(len(table)), key=lambda i: (table[i].time_centroid, table[i].event_id))
         table.ordered = tuple(table.embeddings[i] for i in order)
         widths = {emb.vector.shape[0] for emb in table.embeddings}
@@ -192,20 +194,31 @@ class PrefixTable(tuple):
         table.stack = (np.stack([emb.vector for emb in table.ordered])
                        if table.width is not None else np.empty((0, 0)))
         table.norms = np.array([emb.norm for emb in table.ordered])
-        table.pairs = tuple(_unit_pair(table[i], units) for i in order)
+        table.pairs = tuple(recall(units, (table[i].frame_indices, table[i].event_id),
+                                   _unit_pair, table[i]) for i in order)
         return table
 
 
-def _unit_pair(event: Event, units: MutableMapping) -> tuple[VisualUnit, VisualUnit]:
-    key = (event.frame_indices, event.event_id)
-    try:  # a ChainMap answers a hit faster this way than through get
-        return units[key]
-    except KeyError:
-        pooled = VisualUnit(kind=POOLED, event_id=event.event_id, num_frames=event.num_frames,
-                            patch_count=event.prefix.num_patches, start_s=event.start_s,
-                            time_centroid=event.time_centroid)
-        pair = units[key] = (pooled, replace(pooled, kind=PRESERVED))
-        return pair
+def recall(memo: ChainMap, key, build: Callable, *args):
+    """``memo[key]``, or else ``build(*args)``, staged in ``memo.maps[0]``.
+
+    The last map is the committed plain dict, which holds most hits, so it
+    is read first: its ``get`` answers several times faster than the
+    ChainMap's lookup, and a miss raises nothing.  No value is None.
+    """
+    value = memo.maps[-1].get(key)
+    if value is None:
+        value = memo.maps[0].get(key)
+        if value is None:
+            value = memo.maps[0][key] = build(*args)
+    return value
+
+
+def _unit_pair(event: Event) -> tuple[VisualUnit, VisualUnit]:
+    pooled = VisualUnit(kind=POOLED, event_id=event.event_id, num_frames=event.num_frames,
+                        patch_count=event.prefix.num_patches, start_s=event.start_s,
+                        time_centroid=event.time_centroid)
+    return pooled, replace(pooled, kind=PRESERVED)
 
 
 def compress_stream(

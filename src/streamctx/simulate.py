@@ -11,10 +11,13 @@ The visual pipeline (clustering, events, event embeddings) depends only on
 the visible prefix, the number of finished segments, so it runs once per
 prefix and every later question on that prefix reuses it.  The clustering
 seed is keyed on the prefix too: two questions asked over the same frames
-see the same events.  Prefix s + 1 is prefix s plus one segment, so one
-state object per call carries forward what the last prefix built: each
-segment's float64 frame rows and norms, taken once when it finishes, and
-one memo of what completed questions built: each event summary by its
+see the same events.  Past ``WINDOW_SEGMENTS`` segments a prefix keeps the
+clustering of the one that many segments shorter and clusters only the
+later frames, so its cost stops growing with the stream.  Prefix s + 1 is
+prefix s plus one segment, so one state object per call carries forward
+what the last prefixes built: each segment's float64 frame rows and norms,
+taken once when it finishes, those clusterings, and one memo of what
+completed questions built: each event summary by its
 member frames, each event's pair of units (and so their encoded
 fragments) by its members and rank, and each question vector by its text.
 A question stages its additions over the memo and commits them, with its
@@ -63,6 +66,7 @@ from .compression import (
     compression_ratio,
     embed_event,
     embed_question,
+    recall,
 )
 from .errors import InvalidConfigError, ManifestError, StreamContextError
 from .providers import Generator, HashingQuestionEmbedder, Retriever, Summarizer, TextEmbedder
@@ -91,6 +95,10 @@ logger = logging.getLogger(__name__)
 VOLATILE_FIELDS = ("wall_ms",)
 
 RETRIEVAL_MODES = ("fallback", "provider", "oracle")
+
+#: Segments a new prefix clusters afresh: it keeps the clustering of the
+#: prefix this many segments shorter (``cluster``'s ``frozen``).
+WINDOW_SEGMENTS = 4
 
 
 @dataclass(frozen=True)
@@ -178,8 +186,9 @@ class _Stream:
     It hands out the finished segments, joined once into one block, as a
     ``FlatBlock`` over rows taken once per segment, and counts any
     future-frame access.  ``last`` is the latest completed prefix: its
-    count, clustering and ``PrefixTable``.  ``known`` is the memo of what
-    completed questions built; ``simulate`` alone commits to it.
+    count and ``PrefixTable``.  ``clusterings`` holds the clusterings of
+    the last ``WINDOW_SEGMENTS`` segment counts up to it, by count.  ``known``
+    is the memo of what completed questions built.  ``simulate`` alone commits.
     """
 
     def __init__(self, manifest: SessionManifest, frames: Mapping[int, FrameBlock]):
@@ -199,7 +208,8 @@ class _Stream:
         self._ends = [seg.end_s for seg in manifest.segments]
         self._stops = np.cumsum([0] + [len(b) for b in blocks]).tolist()
         self.violations = 0
-        self.last: tuple[int, ClusterResult, PrefixTable] | None = None
+        self.last: tuple[int, PrefixTable] | None = None
+        self.clusterings: dict[int, ClusterResult] = {}
         # The memo's keys cannot collide: a summary's is its members (a tuple
         # of ints), a unit pair's (members, rank), a question vector's its text.
         self.known: dict = {}
@@ -218,11 +228,15 @@ class _Stream:
             for segment in range(shown, finished):
                 lo, hi = self._stops[segment], self._stops[segment + 1]
                 self._rows[lo:hi], self._row_sq[lo:hi] = flat_rows(self._block[lo:hi])
-            stop = self._stops[finished]
-            visible = FlatBlock(self._block[:stop], self._rows[:stop], self._row_sq[:stop])
+            visible = self.prefix(finished)
             self._shown = (finished, visible)
         self.violations += int(np.count_nonzero(visible.timestamps > ask_time))
         return finished, visible
+
+    def prefix(self, segments: int) -> FlatBlock:
+        """The frames of the first ``segments`` segments, once their rows are taken."""
+        stop = self._stops[segments]
+        return FlatBlock(self._block[:stop], self._rows[:stop], self._row_sq[:stop])
 
 
 def retrieval_policy(
@@ -250,13 +264,24 @@ def retrieval_policy(
     return lambda history, question, gold: retrieve(history, question, None, threshold=threshold)
 
 
-def _recall(memo: ChainMap, key, build: Callable, *args):
-    """``memo[key]``, or else ``build(*args)``, staged in the memo under ``key``."""
-    try:  # one ChainMap lookup on a hit, where ``in`` and get take two
-        return memo[key]
-    except KeyError:
-        value = memo[key] = build(*args)
-        return value
+def _clustering(stream: _Stream, finished: int, config: EngineConfig) -> ClusterResult:
+    """The clustering of the first ``finished`` segments, a function of their frames.
+
+    Up to ``WINDOW_SEGMENTS`` segments, and whenever the last
+    ``WINDOW_SEGMENTS`` add no cluster to ``choose_k``, it runs from
+    scratch.  Otherwise it keeps the clustering of the prefix that many
+    segments shorter, carried or else computed here in turn, and clusters
+    only the later frames.
+    """
+    carried = stream.clusterings.get(finished)
+    if carried is not None:
+        return carried
+    visible = stream.prefix(finished)
+    k = choose_k(len(visible), config.cluster_ratio)
+    base = finished - WINDOW_SEGMENTS
+    frozen = _clustering(stream, base, config) if base > 0 else None
+    return cluster(visible, config.cluster_config(k, _question_seed(config.seed, finished)),
+                   frozen=frozen if frozen is not None and frozen.k < k else None)
 
 
 def _question_seed(base_seed: int, prefix: int) -> int:
@@ -306,8 +331,9 @@ def simulate(
     question (recorded with its error kind) and the stream moves on; the
     dialogue history then carries the dataset's gold answer so later
     questions still see the turn.  Any other exception is a bug
-    and propagates.  The clustering and event table of the latest visible
-    prefix are kept for the next question; event summaries, unit pairs and
+    and propagates.  The event table of the latest visible prefix, and the
+    clusterings of the last ``WINDOW_SEGMENTS``, are kept for the next
+    questions; event summaries, unit pairs and
     question vectors are kept for the rest of the stream (see the module
     docstring).  Each question stages what it builds, and only a question
     that completes commits it.
@@ -346,20 +372,18 @@ def simulate(
                 raise StreamContextError(
                     f"no finished segment before ask_time {entry.ask_time}"
                 )
-            k = choose_k(len(visible), config.cluster_ratio)
             # Ask times never decrease along a path (DialoguePath checks it),
             # so once a later prefix is visible no question returns to an
-            # earlier one: the last completed prefix is the only one kept.
+            # earlier one: the last completed prefix's table is the only one kept.
             if stream.last is not None and stream.last[0] == finished:
-                _, result, table = stream.last
+                table, result = stream.last[1], stream.clusterings[finished]
             else:
-                seed = _question_seed(config.seed, finished)
-                result = cluster(visible, config.cluster_config(k, seed))
+                result = _clustering(stream, finished, config)
                 events = events_from(result, visible)
-                summaries = [_recall(memo, ev.frame_indices, embed_event, ev, prov.summarizer)
+                summaries = [recall(memo, ev.frame_indices, embed_event, ev, prov.summarizer)
                              for ev in events]
                 table = PrefixTable(events, summaries, memo)
-            qvec = _recall(memo, qa.question, embed_question, qa.question, question_embedder)
+            qvec = recall(memo, qa.question, embed_question, qa.question, question_embedder)
             visual = compress_stream(table, table.embeddings, qvec, compression)
             retrieval = select(history, qa.question, entry.gold_relevant)
             confusion = score_retrieval(retrieval, entry.gold_relevant, history.ids)
@@ -373,7 +397,7 @@ def simulate(
             record.update(
                 {
                     "num_frames": len(visible),
-                    "k": k,
+                    "k": result.k,
                     "cluster_iterations": result.iterations,
                     "cluster_delta": result.final_delta,
                     "num_events": len(table),
@@ -391,8 +415,11 @@ def simulate(
                     "answer_provider": answer_record.provider_id,
                 }
             )
-            stream.last = (finished, result, table)
+            stream.last = (finished, table)
             stream.known.update(memo.maps[0])
+            stream.clusterings = {prefix: r for prefix, r in stream.clusterings.items()
+                                  if prefix > finished - WINDOW_SEGMENTS}
+            stream.clusterings[finished] = result
         except StreamContextError as exc:
             error = record["error"] = {"type": type(exc).__name__, "message": str(exc)}
             # strings only: a log record holding exc would keep the stream alive

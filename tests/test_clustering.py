@@ -577,6 +577,50 @@ class TestLloydFastPaths:
             assert got.feature_centroids[j].reshape(-1).tobytes() == members.mean(axis=0).tobytes()
 
 
+@st.composite
+def _window_case(draw):
+    """A ``_lloyd_case`` of at least two frames cut at m, with a real clustering
+    of its first m frames and a window k up to the frames after them."""
+    features, t, config = draw(_lloyd_case().filter(lambda case: case[0].shape[0] > 1))
+    n = features.shape[0]
+    m = draw(st.integers(1, n - 1))
+    frozen = cluster(FrameBlock(t[:m], features[:m]), replace(config, k=draw(st.integers(1, m))))
+    window_k = draw(st.integers(1, n - m))
+    return features, t, replace(config, k=frozen.k + window_k), frozen, draw(st.booleans())
+
+
+class TestFrozenWindow:
+    @settings(max_examples=200, deadline=None)
+    @given(_window_case())
+    def test_frozen_clusters_stay_and_the_window_runs_from_scratch(self, case):
+        features, t, config, frozen, flat = case
+        block = FrameBlock(t, features)
+        if flat:  # as simulate hands it over
+            block = clustering.FlatBlock(block, *clustering.flat_rows(block))
+        got = cluster(block, config, frozen=frozen)
+        m, r = frozen.assignments.shape[0], frozen.k
+        want = cluster(FrameBlock(t[m:], features[m:]), replace(config, k=config.k - r))
+        assert got.k == config.k
+        assert got.assignments[:m].tobytes() == frozen.assignments.tobytes()
+        assert got.feature_centroids[:r].tobytes() == frozen.feature_centroids.tobytes()
+        assert got.time_centroids[:r].tobytes() == frozen.time_centroids.tobytes()
+        assert np.array_equal(got.assignments[m:], want.assignments + r)
+        assert got.feature_centroids[r:].tobytes() == want.feature_centroids.tobytes()
+        assert got.time_centroids[r:].tobytes() == want.time_centroids.tobytes()
+        assert (got.iterations, got.final_delta) == (want.iterations, want.final_delta)
+
+    def test_a_frozen_clustering_that_does_not_fit_is_rejected(self):
+        frames = make_frames(20, patches=2, dim=4, seed=3)
+        frozen = cluster(frames[:10], ClusterConfig(k=3))
+        for k in (2, 3):  # the window would get no cluster
+            with pytest.raises(InvalidConfigError, match="no window"):
+                cluster(frames, ClusterConfig(k=k), frozen=frozen)
+        for patches, dim in ((1, 8), (2, 3)):
+            other = cluster(make_frames(10, patches=patches, dim=dim), ClusterConfig(k=2))
+            with pytest.raises(InvalidConfigError, match="no window"):
+                cluster(frames, ClusterConfig(k=5), frozen=other)
+
+
 class TestEvents:
     def _result(self):
         # hand-built: cluster 1 is empty, cluster 2 happens earlier than 0

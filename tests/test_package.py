@@ -58,7 +58,9 @@ def test_deleted_members_are_gone():
     assert list(inspect.signature(streamctx.embed_question).parameters) == ["question", "embedder"]
     assert list(inspect.signature(streamctx.embed_event).parameters) == ["event", "summarizer"]
     assert list(inspect.signature(streamctx.render_layout).parameters) == ["package"]
-    assert list(inspect.signature(streamctx.cluster).parameters) == ["frames", "config"]
+    params = inspect.signature(streamctx.cluster).parameters
+    assert list(params) == ["frames", "config", "frozen"]
+    assert params["frozen"].kind is inspect.Parameter.KEYWORD_ONLY
     params = inspect.signature(streamctx.simulate).parameters
     assert "base_dir" not in params
     assert params["frames"].kind is inspect.Parameter.KEYWORD_ONLY

@@ -1,7 +1,7 @@
 """``simulate`` against a replay that reuses no work between questions.
 
-``simulate`` keeps the latest prefix's clustering, each event summary for the
-rest of its stream, and the dialogue history's term rows.  The reference
+``simulate`` keeps the latest prefixes' clusterings, each event summary for
+the rest of its stream, and the dialogue history's term rows.  The reference
 below recomputes everything for every question from the public stage
 functions and must give the same canonical report bytes, including when
 injected providers fail.
@@ -33,6 +33,7 @@ from streamctx.retrieval import (
     score_retrieval,
 )
 from streamctx.simulate import (
+    WINDOW_SEGMENTS,
     EngineConfig,
     ProviderSet,
     SimulationReport,
@@ -113,6 +114,28 @@ class HashRetriever:
         return render_constrained(RetrievalOutput(ids, delta))
 
 
+def reference_clustering(manifest, frames, config, finished):
+    """The clustering of the first ``finished`` segments, recomputed down to scratch.
+
+    Past ``WINDOW_SEGMENTS`` segments, the clustering of the prefix that many
+    segments shorter stays frozen and only the later frames are clustered, with
+    the clusters ``choose_k`` adds; a window that adds none clusters from scratch.
+    """
+    visible = FrameBlock.of(
+        [FrameBlock.of(frames[seg.segment_id]) for seg in manifest.segments[:finished]]
+    )
+    k = choose_k(len(visible), config.cluster_ratio)
+    frozen = None
+    if finished > WINDOW_SEGMENTS:
+        frozen = reference_clustering(manifest, frames, config, finished - WINDOW_SEGMENTS)
+        if frozen.k >= k:
+            frozen = None
+    seed = int(np.random.SeedSequence([config.seed, finished]).generate_state(1)[0])
+    cfg = ClusterConfig(k=k, alpha_time=config.alpha_time, max_iters=config.max_iters,
+                        epsilon=config.epsilon, seed=seed)
+    return cluster(visible, cfg, frozen=frozen)
+
+
 def reference_replay(manifest, stream_index, config, frames, providers):
     """``simulate``'s report, with every question computed from scratch."""
     qa_by_id = {qa.qa_id: qa for qa in manifest.qa_pool}
@@ -139,17 +162,7 @@ def reference_replay(manifest, stream_index, config, frames, providers):
             )
             violations += int(np.count_nonzero(visible.timestamps > entry.ask_time))
             k = choose_k(len(visible), config.cluster_ratio)
-            seed = int(np.random.SeedSequence([config.seed, finished]).generate_state(1)[0])
-            result = cluster(
-                visible,
-                ClusterConfig(
-                    k=k,
-                    alpha_time=config.alpha_time,
-                    max_iters=config.max_iters,
-                    epsilon=config.epsilon,
-                    seed=seed,
-                ),
-            )
+            result = reference_clustering(manifest, frames, config, finished)
             events = events_from(result, visible)
             embeddings = [embed_event(ev, providers.summarizer) for ev in events]
             qvec = embed_question(qa.question, embedder)

@@ -714,7 +714,10 @@ class TestPrefixReuse:
         assert len(groups) == 5 and all(len(g) == 4 for g in groups.values())
         assert sorted(len(args[0]) for args, _, _ in calls["cluster"]) == sorted(groups)
         assert len(calls["events_from"]) == len(groups)
-        assert len(calls["embed_event"]) == sum(g[0]["num_events"] for g in groups.values())
+        # a frozen event keeps its members, so its summary is embedded once
+        members = {ev.frame_indices for _, _, events in calls["events_from"] for ev in events}
+        assert len(calls["embed_event"]) == len(members)
+        assert len(members) < sum(g[0]["num_events"] for g in groups.values())
         texts = {qa.qa_id: qa.question for qa in default_session.manifest.qa_pool}
         asked = [texts[rec["qa_id"]] for rec in report.records]
         assert len(set(asked)) < len(asked)  # some question is asked twice
@@ -836,6 +839,31 @@ class TestPrefixReuse:
         frame_counts = [len(args[0]) for args, _, _ in calls["cluster"]]
         assert frame_counts[:2] == [second["num_frames"]] * 2
         assert len(frame_counts) == len(set(frame_counts)) + 1 == 6
+
+    def test_a_stream_that_skips_prefixes_clusters_them_as_one_that_asks_at_each(self, calls):
+        # no workload skips a prefix, so only here does a frozen clustering
+        # have to be computed for a prefix nobody asked about
+        session = build_synthetic(SyntheticSpec(segments=10, frames_per_segment=15))
+        manifest, ends = session.manifest, [seg.end_s for seg in session.manifest.segments]
+        full = simulate(manifest, 0, EngineConfig(), frames=session.frames)
+        assert {rec["num_frames"] // 15 for rec in full.records} == set(range(1, 11))
+        asked, entries = {3, 8, 9, 10}, []
+        for entry in manifest.dialogue_streams[0].entries:
+            if sum(end <= entry.ask_time for end in ends) in asked:
+                kept = {e.qa_id for e in entries}
+                entries.append(replace(entry, gold_relevant=entry.gold_relevant & kept))
+        skipping = replace(manifest, dialogue_streams=(DialoguePath(tuple(entries)),))
+        calls.clear()
+        report = simulate(skipping, 0, EngineConfig(), frames=session.frames)
+        # 8 froze 4, 9 froze 5 and so 1, 10 froze 6 and so 2
+        assert {len(args[0]) // 15 for args, _, _ in calls["cluster"]} == {1, 2, 3, 4, 5, 6,
+                                                                           8, 9, 10}
+        keys = ("num_frames", "k", "num_events", "cluster_iterations", "cluster_delta",
+                "preserved_events", "visual_tokens")
+        want = {rec["qa_id"]: [rec[key] for key in keys] for rec in full.records}
+        assert len(report.records) == len(entries) > len(asked)
+        for rec in report.records:
+            assert [rec[key] for key in keys] == want[rec["qa_id"]]
 
     def test_each_member_set_is_summarized_once_per_stream(self, surviving_events, calls):
         summarizer = CountingSummarizer()
