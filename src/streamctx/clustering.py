@@ -282,25 +282,8 @@ def _draw(p: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-class FlatBlock(FrameBlock):
-    """A frame block with its float64 flat ``rows`` and their squared norms
-    ``row_sq``, as ``flat_rows`` takes them.  ``simulate`` fills both once
-    per segment for its whole stream and hands ``cluster`` a view of each
-    prefix; slicing gives a plain block."""
-
-    __slots__ = ("rows", "row_sq")
-
-    def __init__(self, block: FrameBlock, rows: np.ndarray, row_sq: np.ndarray):
-        self._hold(timestamps=block.timestamps, features=block.features, rows=rows, row_sq=row_sq)
-
-
-def flat_rows(frames: FrameBlock | Sequence[FrameFeature]) -> tuple[np.ndarray, np.ndarray]:
-    """The frames as (N, P·D) float64 rows and their squared norms: those a
-    ``FlatBlock`` holds, else converted here.  A row's norm depends on that
-    row alone, so rows taken a segment at a time equal a whole prefix's."""
-    block = FrameBlock.of(frames)
-    if isinstance(block, FlatBlock):
-        return block.rows, block.row_sq
+def flat_rows(block: FrameBlock) -> tuple[np.ndarray, np.ndarray]:
+    """The block's frames as (N, P·D) float64 rows and their squared norms."""
     x = block.features.reshape(len(block), block.num_patches * block.dim).astype(np.float64)
     return x, np.einsum("ij,ij->i", x, x)
 
@@ -347,13 +330,14 @@ def cluster(frames: FrameBlock | Sequence[FrameFeature], config: ClusterConfig, 
     groups members with one stable argsort and sums each cluster's rows in
     frame order, the same sums and divisions ``.mean()`` performs, so every
     centroid is bitwise the mean of its members.  Frames never move, so
-    their rows and norms come from ``flat_rows`` (a ``FlatBlock``'s, or new).
+    their rows and norms are taken once per call (``flat_rows``).
 
     ``frozen``, a clustering of the first ``m = len(frozen.assignments)``
     frames, keeps their clusters, listed first; the rest run bitwise as
     ``cluster(frames[m:])`` with ``config.k - frozen.k`` clusters would, and
-    give ``iterations`` and ``final_delta``.  A ``frozen`` of other
-    (patches, dim), or of no fewer clusters, is an ``InvalidConfigError``.
+    give ``iterations`` and ``final_delta``.  Only those later frames are
+    converted to rows.  A ``frozen`` of other (patches, dim), or of no fewer
+    clusters, is an ``InvalidConfigError``.
     """
     block = FrameBlock.of(frames)
     n, p, d = block.features.shape
@@ -362,8 +346,7 @@ def cluster(frames: FrameBlock | Sequence[FrameFeature], config: ClusterConfig, 
         if shape != (p, d) or frozen.k >= config.k:
             raise InvalidConfigError(f"frozen k={frozen.k} over (patches, dim) {shape} leaves "
                                      f"no window for k={config.k} over {(p, d)}")
-        m, (x, x_sq) = frozen.assignments.shape[0], flat_rows(block)
-        run = cluster(FlatBlock(block[m:], x[m:], x_sq[m:]), replace(config, k=config.k - frozen.k))
+        run = cluster(block[frozen.assignments.shape[0]:], replace(config, k=config.k - frozen.k))
         return ClusterResult(
             np.concatenate([frozen.feature_centroids, run.feature_centroids]),
             np.concatenate([frozen.time_centroids, run.time_centroids]),

@@ -13,13 +13,13 @@ prefix and every later question on that prefix reuses it.  The clustering
 seed is keyed on the prefix too: two questions asked over the same frames
 see the same events.  Past ``WINDOW_SEGMENTS`` segments a prefix keeps the
 clustering of the one that many segments shorter and clusters only the
-later frames, so its cost stops growing with the stream.  Prefix s + 1 is
-prefix s plus one segment, so one state object per call carries forward
-what the last prefixes built: each segment's float64 frame rows and norms,
-taken once when it finishes, those clusterings, and one memo of what
-completed questions built: each event summary by its
-member frames, each event's pair of units (and so their encoded
-fragments) by its members and rank, and each question vector by its text.
+later frames, so on a stream that asks at every prefix its cost stops
+growing with the stream.  Prefix s + 1 is prefix s plus one segment, so one
+state object per call carries forward what the last prefixes built: the
+finished segments, joined once into one block, those clusterings, and one
+memo of what completed questions built: each event summary by its member
+frames, each event's pair of units (and so their encoded fragments) by its
+members and rank, and each question vector by its text.
 A question stages its additions over the memo and commits them, with its
 prefix, only once it completes; so a question that fails leaves nothing
 behind for the next one to reuse, and nothing outlives the call.
@@ -51,11 +51,9 @@ from .clustering import (
     DEFAULT_RATIO,
     ClusterConfig,
     ClusterResult,
-    FlatBlock,
     choose_k,
     cluster,
     events_from,
-    flat_rows,
 )
 from .compression import (
     DEFAULT_THETA,
@@ -183,12 +181,12 @@ class ProviderSet:
 class _Stream:
     """What one replay carries from each prefix to the next (module docstring).
 
-    It hands out the finished segments, joined once into one block, as a
-    ``FlatBlock`` over rows taken once per segment, and counts any
-    future-frame access.  ``last`` is the latest completed prefix: its
-    count and ``PrefixTable``.  ``clusterings`` holds the clusterings of
-    the last ``WINDOW_SEGMENTS`` segment counts up to it, by count.  ``known``
-    is the memo of what completed questions built.  ``simulate`` alone commits.
+    It hands out the finished segments as slices of one block, joined once,
+    and counts any future-frame access.  ``last`` is the latest completed
+    prefix: its count and ``PrefixTable``.  ``clusterings`` holds the
+    clusterings of the last ``WINDOW_SEGMENTS`` segment counts up to it, by
+    count.  ``known`` is the memo of what completed questions built.
+    ``simulate`` alone commits.
     """
 
     def __init__(self, manifest: SessionManifest, frames: Mapping[int, FrameBlock]):
@@ -201,10 +199,7 @@ class _Stream:
             )
         blocks = [FrameBlock.of(frames[segment_id]) for segment_id in listed]
         self._block = FrameBlock.of(blocks)
-        n, patches, self.dim = self._block.features.shape
-        self._rows, self._row_sq = np.empty((n, patches * self.dim)), np.empty(n)
-        # the latest prefix handed out; the rows of its segments are taken
-        self._shown = (0, FlatBlock(self._block[:0], self._rows[:0], self._row_sq[:0]))
+        self.dim = self._block.dim
         self._ends = [seg.end_s for seg in manifest.segments]
         self._stops = np.cumsum([0] + [len(b) for b in blocks]).tolist()
         self.violations = 0
@@ -214,7 +209,7 @@ class _Stream:
         # of ints), a unit pair's (members, rank), a question vector's its text.
         self.known: dict = {}
 
-    def frames_until(self, ask_time: float) -> tuple[int, FlatBlock]:
+    def frames_until(self, ask_time: float) -> tuple[int, FrameBlock]:
         """How many segments finished by ask_time, and all of their frames.
 
         Segments still open stay out entirely, even for their elapsed part;
@@ -223,20 +218,13 @@ class _Stream:
         prefix and their count names it.
         """
         finished = bisect.bisect_right(self._ends, ask_time)
-        shown, visible = self._shown
-        if finished != shown:
-            for segment in range(shown, finished):
-                lo, hi = self._stops[segment], self._stops[segment + 1]
-                self._rows[lo:hi], self._row_sq[lo:hi] = flat_rows(self._block[lo:hi])
-            visible = self.prefix(finished)
-            self._shown = (finished, visible)
+        visible = self.prefix(finished)
         self.violations += int(np.count_nonzero(visible.timestamps > ask_time))
         return finished, visible
 
-    def prefix(self, segments: int) -> FlatBlock:
-        """The frames of the first ``segments`` segments, once their rows are taken."""
-        stop = self._stops[segments]
-        return FlatBlock(self._block[:stop], self._rows[:stop], self._row_sq[:stop])
+    def prefix(self, segments: int) -> FrameBlock:
+        """The frames of the first ``segments`` segments."""
+        return self._block[: self._stops[segments]]
 
 
 def retrieval_policy(
@@ -271,7 +259,12 @@ def _clustering(stream: _Stream, finished: int, config: EngineConfig) -> Cluster
     ``WINDOW_SEGMENTS`` add no cluster to ``choose_k``, it runs from
     scratch.  Otherwise it keeps the clustering of the prefix that many
     segments shorter, carried or else computed here in turn, and clusters
-    only the later frames.
+    only the later frames.  Only the clusterings of the last
+    ``WINDOW_SEGMENTS`` prefixes that a question completed are carried, so
+    the cost stays flat only on a stream that asks at every prefix.  One
+    that skips prefixes recomputes the frozen chain down to the last carried
+    clustering, or the stream's start, and keeps none of it: a chain that
+    grows with the stream.
     """
     carried = stream.clusterings.get(finished)
     if carried is not None:
@@ -351,7 +344,8 @@ def simulate(
     qa_by_id = {qa.qa_id: qa for qa in manifest.qa_pool}
     history = DialogueHistory()
     path = manifest.dialogue_streams[stream_index]
-    question_embedder = prov.embedder or HashingQuestionEmbedder(stream.dim)
+    question_embedder = (HashingQuestionEmbedder(stream.dim) if prov.embedder is None
+                         else prov.embedder)
 
     records: list[dict] = []
     for entry in path.entries:

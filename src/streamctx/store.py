@@ -95,10 +95,10 @@ class FrameBlock:
             raise NonFiniteValueError("frame features contain NaN or infinite values")
         if not np.isfinite(stamps).all() or (stamps < 0).any():
             raise NonFiniteValueError("frame timestamps must be finite and >= 0")
-        self._hold(timestamps=stamps, features=feats)
+        self._hold(stamps, feats)
 
-    def _hold(self, **columns: np.ndarray) -> "FrameBlock":
-        for name, arr in columns.items():
+    def _hold(self, stamps: np.ndarray, feats: np.ndarray) -> "FrameBlock":
+        for name, arr in (("timestamps", stamps), ("features", feats)):
             view = arr.view()
             view.setflags(write=False)
             object.__setattr__(self, name, view)
@@ -107,7 +107,7 @@ class FrameBlock:
     @staticmethod
     def _trusted(stamps: np.ndarray, feats: np.ndarray) -> "FrameBlock":
         """A block over arrays taken from checked blocks, not checked again."""
-        return object.__new__(FrameBlock)._hold(timestamps=stamps, features=feats)
+        return object.__new__(FrameBlock)._hold(stamps, feats)
 
     @staticmethod
     def of(frames) -> "FrameBlock":

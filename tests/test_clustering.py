@@ -586,18 +586,15 @@ def _window_case(draw):
     m = draw(st.integers(1, n - 1))
     frozen = cluster(FrameBlock(t[:m], features[:m]), replace(config, k=draw(st.integers(1, m))))
     window_k = draw(st.integers(1, n - m))
-    return features, t, replace(config, k=frozen.k + window_k), frozen, draw(st.booleans())
+    return features, t, replace(config, k=frozen.k + window_k), frozen
 
 
 class TestFrozenWindow:
     @settings(max_examples=200, deadline=None)
     @given(_window_case())
     def test_frozen_clusters_stay_and_the_window_runs_from_scratch(self, case):
-        features, t, config, frozen, flat = case
-        block = FrameBlock(t, features)
-        if flat:  # as simulate hands it over
-            block = clustering.FlatBlock(block, *clustering.flat_rows(block))
-        got = cluster(block, config, frozen=frozen)
+        features, t, config, frozen = case
+        got = cluster(FrameBlock(t, features), config, frozen=frozen)
         m, r = frozen.assignments.shape[0], frozen.k
         want = cluster(FrameBlock(t[m:], features[m:]), replace(config, k=config.k - r))
         assert got.k == config.k
@@ -608,6 +605,16 @@ class TestFrozenWindow:
         assert got.feature_centroids[r:].tobytes() == want.feature_centroids.tobytes()
         assert got.time_centroids[r:].tobytes() == want.time_centroids.tobytes()
         assert (got.iterations, got.final_delta) == (want.iterations, want.final_delta)
+
+    def test_only_the_window_is_converted_to_rows(self, monkeypatch):
+        frames = make_frames(40, patches=2, dim=4, seed=5)
+        frozen = cluster(frames[:30], ClusterConfig(k=2))
+        converted, original = [], clustering.flat_rows
+        monkeypatch.setattr(
+            clustering, "flat_rows", lambda block: converted.append(len(block)) or original(block)
+        )
+        cluster(frames, ClusterConfig(k=3), frozen=frozen)
+        assert converted == [10]
 
     def test_a_frozen_clustering_that_does_not_fit_is_rejected(self):
         frames = make_frames(20, patches=2, dim=4, seed=3)

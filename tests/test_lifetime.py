@@ -1,11 +1,11 @@
 """Nothing a replay builds outlives its ``simulate`` call.
 
-``simulate`` carries the joined frame block, the float64 frame rows, the
-events, the visual units and question vectors from prefix to prefix, and a
-unit or turn keeps its encoded fragment in its own ``__dict__``.  All of it
-belongs to the call: once the caller drops the session and the report,
-weak references to every piece are dead, even while a log handler keeps
-the record of a failed question.
+``simulate`` carries the joined frame block, the events, the visual units
+and question vectors from prefix to prefix, and a unit or turn keeps its
+encoded fragment in its own ``__dict__``.  All of it belongs to the call:
+once the caller drops the session and the report, weak references to every
+piece are dead, even while a log handler keeps the record of a failed
+question.
 """
 
 import gc
@@ -50,9 +50,7 @@ def test_nothing_of_a_session_outlives_simulate(monkeypatch, caplog):
         monkeypatch.setattr(module, name, wrapper)
 
     def prefix(args, result):
-        visible = args[0]
-        return [("joined block", visible.features.base), ("rows", visible.rows.base),
-                ("row norms", visible.row_sq.base)]
+        return [("joined block", args[0].features.base)]
 
     def package(args, result):
         for unit in args[0].units:
@@ -74,8 +72,8 @@ def test_nothing_of_a_session_outlives_simulate(monkeypatch, caplog):
     assert [rec.getMessage() for rec in failures] == [
         f"question {failed['qa_id']} failed (ProviderError: generator down); continuing the stream"
     ]
-    assert alive == {"joined block", "rows", "row norms", "event", "question vector",
-                     "visual unit", "VisualUnit", "HistoryItem"}
+    assert alive == {"joined block", "event", "question vector", "visual unit", "VisualUnit",
+                     "HistoryItem"}
 
     del session, report, failed
     gc.collect()

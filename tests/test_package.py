@@ -26,6 +26,7 @@ DELETED = [
     ("streamctx.providers", "embed_request"),
     ("streamctx.providers", "score_request"),
     ("streamctx.providers", "generate_request"),
+    ("streamctx.clustering", "FlatBlock"),
 ]
 
 

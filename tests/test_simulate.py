@@ -931,6 +931,28 @@ class TestPrefixReuse:
             assert np.array_equal(vec, fresh)
         assert report.summary["failed_questions"] == 0
 
+    def test_a_falsy_injected_embedder_is_still_used(self, default_session):
+        class EmptyUntilCalled(HashingQuestionEmbedder):
+            """Its ``len`` is 0, so it is falsy, until its first call."""
+
+            def __init__(self):
+                super().__init__(8)
+                self.texts = []
+
+            def __len__(self):
+                return len(self.texts)
+
+            def embed(self, text):
+                self.texts.append(text)
+                return super().embed(text)
+
+        embedder = EmptyUntilCalled()
+        assert not embedder
+        report = simulate(default_session.manifest, 0, EngineConfig(),
+                          frames=default_session.frames, providers=ProviderSet(embedder=embedder))
+        texts = {qa.qa_id: qa.question for qa in default_session.manifest.qa_pool}
+        assert report.summary["failed_questions"] == 0
+        assert sorted(embedder.texts) == sorted({texts[rec["qa_id"]] for rec in report.records})
 
     def test_a_failed_question_keeps_no_question_vector(self, default_session):
         class CountingEmbedder(HashingQuestionEmbedder):
